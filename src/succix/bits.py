@@ -118,7 +118,7 @@ def unpack_ints(words, width, start, count):
     )
 
 
-class IntVector:
+class IntVector(serialize.Framed):
     """Immutable fixed-width packed integer vector."""
 
     _magic = serialize.MAGIC_INTVEC
@@ -200,14 +200,10 @@ class IntVector:
     def bit_size(self):
         return len(self.words) * 64
 
-    def serialized_bytes(self):
-        return serialize.serialized_bytes(self.n, self.width)
-
-    def serialize(self, f):
-        written = serialize.write_header(f, self._magic, self.width, self.n)
-        data = self.words.astype("<u8", copy=False).tobytes()
-        f.write(data)
-        return written + len(data)
+    def _frame(self):
+        return serialize.Frame(
+            self._magic, self.width, self.n, self.words.astype("<u8", copy=False)
+        )
 
     @classmethod
     def deserialize(cls, f):
@@ -218,11 +214,6 @@ class IntVector:
             raise serialize.FormatError("truncated payload")
         words = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
         return cls.from_words(words, n, width)
-
-    def size_tree(self, name=None):
-        from .sizereport import SizeTree
-
-        return SizeTree(name or self._tag, self.serialized_bytes())
 
 
 class BitVector(IntVector):
@@ -263,9 +254,10 @@ class BitVector(IntVector):
         return int(popcount_words(self.words).sum())
 
 
-class RankSupport:
+class RankSupport(serialize.Framed):
     """Two-level rank directory over a BitVector (counts one-bits)."""
 
+    _tag = "rank"
     SUPER_BITS = 2048
     SUB_BITS = 384
     _REL_MASK = np.uint64(0x7FF)
@@ -345,19 +337,13 @@ class RankSupport:
         base += popcount_words(np.where(tail > 0, tw & tmask, 0)).astype(np.int64)
         return base
 
-    def serialized_bytes(self):
-        return serialize.serialized_bytes(2 * len(self.abs_counts), 64)
-
-    def serialize(self, f):
-        dir_words = np.empty(2 * len(self.abs_counts), dtype=np.uint64)
-        dir_words[0::2] = self.abs_counts.astype(np.uint64)
+    def _frame(self):
+        dir_words = np.empty(2 * len(self.abs_counts), dtype="<u8")
+        dir_words[0::2] = self.abs_counts
         dir_words[1::2] = self.rel_counts
-        written = serialize.write_header(
-            f, serialize.MAGIC_RANK, 64, len(dir_words)
+        return serialize.Frame(
+            serialize.MAGIC_RANK, 64, len(dir_words), dir_words
         )
-        data = dir_words.astype("<u8", copy=False).tobytes()
-        f.write(data)
-        return written + len(data)
 
     @classmethod
     def deserialize(cls, f, bv):
@@ -379,19 +365,15 @@ class RankSupport:
         )
         return rs
 
-    def size_tree(self, name="rank"):
-        from .sizereport import SizeTree
 
-        return SizeTree(name, self.serialized_bytes())
-
-
-class SelectSupport:
+class SelectSupport(serialize.Framed):
     """Sampled select over a BitVector for one bits or zero bits.
 
     Stores the position of every 4096th target bit; queries binary-search
     the rank directory between neighbouring samples, then scan words.
     """
 
+    _tag = "select"
     SAMPLE = 4096
 
     def __init__(self, bv, rank, value=1):
@@ -464,20 +446,12 @@ class SelectSupport:
             remaining -= c
         raise AssertionError("select scan overran word")
 
-    def serialized_bytes(self):
+    def _frame(self):
         width = width_for(max(self.bv.n - 1, 1))
-        return serialize.HEADER_BYTES + serialize.serialized_bytes(
-            len(self.samples), width
+        return serialize.Frame(
+            serialize.MAGIC_SELECT, self.value, self.count, b"",
+            [("samples", IntVector(self.samples, width))],
         )
-
-    def serialize(self, f):
-        width = width_for(max(self.bv.n - 1, 1))
-        iv = IntVector(self.samples, width)
-        written = serialize.write_header(
-            f, serialize.MAGIC_SELECT, self.value, self.count
-        )
-        written += iv.serialize(f)
-        return written
 
     @classmethod
     def deserialize(cls, f, bv, rank):
@@ -492,19 +466,15 @@ class SelectSupport:
         register_allocation(ss, ss.samples.nbytes, "select_support")
         return ss
 
-    def size_tree(self, name="select"):
-        from .sizereport import SizeTree
 
-        return SizeTree(name, self.serialized_bytes())
-
-
-class BackedBits:
+class BackedBits(serialize.Framed):
     """A BitVector bundled with rank (and optionally select) supports.
 
     This is the plain backend used by wavelet trees, Elias-Fano high parts
     and the RMQ parenthesis sequence; access/rank/select all in one place.
     """
 
+    _tag = "bits"
     def __init__(self, bv, select1=False, select0=False):
         self.bits = bv
         self.rank_support = RankSupport(bv)
@@ -536,18 +506,16 @@ class BackedBits:
     def count_ones(self):
         return self.rank_support.total_ones
 
-    def serialize(self, f):
+    def _frame(self):
         flags = (1 if self.select1_support else 0) | (
             2 if self.select0_support else 0
         )
-        written = serialize.write_header(f, serialize.MAGIC_BITVEC, flags, 0)
-        written += self.bits.serialize(f)
-        written += self.rank_support.serialize(f)
+        parts = [("payload", self.bits), ("rank", self.rank_support)]
         if self.select1_support:
-            written += self.select1_support.serialize(f)
+            parts.append(("select1", self.select1_support))
         if self.select0_support:
-            written += self.select0_support.serialize(f)
-        return written
+            parts.append(("select0", self.select0_support))
+        return serialize.Frame(serialize.MAGIC_BITVEC, flags, 0, b"", parts)
 
     @classmethod
     def deserialize(cls, f):
@@ -563,25 +531,3 @@ class BackedBits:
             SelectSupport.deserialize(f, bv, bb.rank_support) if flags & 2 else None
         )
         return bb
-
-    def serialized_bytes(self):
-        total = serialize.HEADER_BYTES + self.bits.serialized_bytes()
-        total += self.rank_support.serialized_bytes()
-        if self.select1_support:
-            total += self.select1_support.serialized_bytes()
-        if self.select0_support:
-            total += self.select0_support.serialized_bytes()
-        return total
-
-    def size_tree(self, name="bits"):
-        from .sizereport import SizeTree
-
-        children = [
-            self.bits.size_tree("payload"),
-            self.rank_support.size_tree(),
-        ]
-        if self.select1_support:
-            children.append(self.select1_support.size_tree("select1"))
-        if self.select0_support:
-            children.append(self.select0_support.size_tree("select0"))
-        return SizeTree(name, serialize.HEADER_BYTES, children)

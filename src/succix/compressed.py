@@ -88,7 +88,7 @@ def decode_block(c, off, t):
     return v
 
 
-class RRRVector:
+class RRRVector(serialize.Framed):
     """H0-compressed bitvector with rank and select.
 
     Blocks of `block_size` bits become class/offset pairs; superblocks of
@@ -97,6 +97,7 @@ class RRRVector:
     """
 
     SB_BLOCKS = 32
+    _tag = "rrr"
 
     def __init__(self, bits, block_size=15):
         if block_size not in BLOCK_SIZES:
@@ -274,20 +275,19 @@ class RRRVector:
                 out[b * self.t + r] = (v >> r) & 1
         return out
 
-    def _parts(self):
-        cls_iv = IntVector(self.classes, _CLASS_BITS[self.t])
-        off_iv = IntVector.from_words(
-            self.offset_words.copy(), self.offset_bits, 1
-        )
-        ptr_iv = IntVector(self.sb_ptrs, width_for(max(self.offset_bits, 1)))
-        rnk_iv = IntVector(self.sb_ranks, width_for(max(self.total_ones, 1)))
-        return cls_iv, off_iv, ptr_iv, rnk_iv
-
-    def serialize(self, f):
-        written = serialize.write_header(f, serialize.MAGIC_RRR, self.t, self.n)
-        for part in self._parts():
-            written += part.serialize(f)
-        return written
+    def _frame(self):
+        return serialize.Frame(serialize.MAGIC_RRR, self.t, self.n, b"", [
+            ("classes", IntVector(self.classes, _CLASS_BITS[self.t])),
+            ("offsets", IntVector.from_words(
+                self.offset_words.copy(), self.offset_bits, 1
+            )),
+            ("pointers", IntVector(
+                self.sb_ptrs, width_for(max(self.offset_bits, 1))
+            )),
+            ("ranks", IntVector(
+                self.sb_ranks, width_for(max(self.total_ones, 1))
+            )),
+        ])
 
     @classmethod
     def deserialize(cls, f):
@@ -316,34 +316,16 @@ class RRRVector:
         rv._finish()
         return rv
 
-    def serialized_bytes(self):
-        return serialize.HEADER_BYTES + sum(
-            p.serialized_bytes() for p in self._parts()
-        )
 
-    def size_tree(self, name="rrr"):
-        from .sizereport import SizeTree
-
-        cls_iv, off_iv, ptr_iv, rnk_iv = self._parts()
-        return SizeTree(
-            name,
-            serialize.HEADER_BYTES,
-            [
-                cls_iv.size_tree("classes"),
-                off_iv.size_tree("offsets"),
-                ptr_iv.size_tree("pointers"),
-                rnk_iv.size_tree("ranks"),
-            ],
-        )
-
-
-class SDVector:
+class SDVector(serialize.Framed):
     """Elias-Fano encoding of a sorted (non-decreasing) integer sequence.
 
     Supports select1 (the j-th stored value) and rank (how many stored
     values are < i) over a conceptual bitvector of length `universe` with
     a one at each stored value.
     """
+
+    _tag = "sd"
 
     def __init__(self, values, universe):
         values = np.asarray(values, dtype=np.int64)
@@ -419,20 +401,17 @@ class SDVector:
             np.int64
         )
 
-    def serialize(self, f):
-        written = serialize.write_header(
-            f, serialize.MAGIC_SD, self.low_width, self.m
+    def _frame(self):
+        return serialize.Frame(
+            serialize.MAGIC_SD, self.low_width, self.m,
+            struct.pack("<Q", self.universe),
+            [("lows", self.lows), ("high", self.high)],
         )
-        f.write(struct.pack("<Q", self.universe))
-        written += 8
-        written += self.lows.serialize(f)
-        written += self.high.serialize(f)
-        return written
 
     @classmethod
     def deserialize(cls, f):
         _, _, w, m = serialize.read_header(f, serialize.MAGIC_SD)
-        (universe,) = struct.unpack("<Q", f.read(8))
+        (universe,) = serialize.read_fields(f, "<Q")
         sd = cls.__new__(cls)
         sd.universe = universe
         sd.m = m
@@ -440,23 +419,6 @@ class SDVector:
         sd.lows = IntVector.deserialize(f)
         sd.high = BackedBits.deserialize(f)
         return sd
-
-    def serialized_bytes(self):
-        return (
-            serialize.HEADER_BYTES
-            + 8
-            + self.lows.serialized_bytes()
-            + self.high.serialized_bytes()
-        )
-
-    def size_tree(self, name="sd"):
-        from .sizereport import SizeTree
-
-        return SizeTree(
-            name,
-            serialize.HEADER_BYTES + 8,
-            [self.lows.size_tree("lows"), self.high.size_tree("high")],
-        )
 
 
 def make_bits(bits, kind="plain", select1=False, select0=False):

@@ -27,10 +27,11 @@ FIRST_SYMBOL = 2
 _CHUNK = 1 << 20
 
 
-class ByteAlphabet:
+class ByteAlphabet(serialize.Framed):
     """Dense remap of the byte values that actually occur."""
 
     kind = "byte"
+    _tag = "alphabet"
 
     def __init__(self, present):
         self.comp2char = np.asarray(sorted(present), dtype=np.uint8)
@@ -70,21 +71,17 @@ class ByteAlphabet:
         comps = np.asarray(comps, dtype=np.int64)
         return bytes(self.comp2char[comps - FIRST_SYMBOL])
 
-    def serialize(self, f):
-        written = serialize.write_header(
-            f, serialize.MAGIC_ALPHABET, 0, self.sigma
+    def _frame(self):
+        return serialize.Frame(
+            serialize.MAGIC_ALPHABET, 0, self.sigma, self.comp2char
         )
-        f.write(self.comp2char.tobytes())
-        return written + self.sigma
-
-    def serialized_bytes(self):
-        return serialize.HEADER_BYTES + self.sigma
 
 
-class WordAlphabet:
+class WordAlphabet(serialize.Framed):
     """Token vocabulary; ids are assigned in lexicographic token order."""
 
     kind = "word"
+    _tag = "alphabet"
 
     def __init__(self, tokens):
         self.tokens = sorted(tokens)
@@ -124,18 +121,12 @@ class WordAlphabet:
             for t in self.tokens:
                 f.write(f"{t}\t{self.token2id[t]}\n")
 
-    def serialize(self, f):
-        written = serialize.write_header(
-            f, serialize.MAGIC_ALPHABET, 1, self.sigma
+    def _frame(self):
+        blob = "\n".join(self.tokens).encode("utf-8")
+        return serialize.Frame(
+            serialize.MAGIC_ALPHABET, 1, self.sigma,
+            struct.pack("<Q", len(blob)) + blob,
         )
-        blob = "\n".join(self.tokens).encode("utf-8")
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        return written + 8 + len(blob)
-
-    def serialized_bytes(self):
-        blob = "\n".join(self.tokens).encode("utf-8")
-        return serialize.HEADER_BYTES + 8 + len(blob)
 
 
 def read_alphabet(f):
@@ -145,8 +136,11 @@ def read_alphabet(f):
         if len(raw) != count:
             raise serialize.FormatError("truncated alphabet")
         return ByteAlphabet(list(raw))
-    (nbytes,) = struct.unpack("<Q", f.read(8))
-    blob = f.read(nbytes).decode("utf-8")
+    (nbytes,) = serialize.read_fields(f, "<Q")
+    raw = f.read(nbytes)
+    if len(raw) != nbytes:
+        raise serialize.FormatError("truncated alphabet")
+    blob = raw.decode("utf-8")
     tokens = blob.split("\n") if blob else []
     if len(tokens) != count:
         raise serialize.FormatError("token count mismatch")
@@ -234,12 +228,12 @@ class Collection:
         )
 
 
-def build_suffix_array(T, pack_state=True):
+def build_suffix_array(T):
     """Suffix array by prefix doubling with packed inter-round state.
 
-    Returns (sa ndarray, sa_packed IntVector-or-None). With pack_state the
-    rank state is carried bit-packed between rounds and the result is also
-    returned packed, so a recording monitor sees the real working set.
+    Returns (sa ndarray, sa_packed IntVector). The rank state is carried
+    bit-packed between rounds and the result is also returned packed, so a
+    recording monitor sees the real working set.
     """
     T = np.asarray(T, dtype=np.int64)
     n = len(T)
@@ -249,7 +243,7 @@ def build_suffix_array(T, pack_state=True):
         raise ValueError("text too long for 32-bit doubling keys")
     rank_width = width_for(max(n - 1, 1))
     state = T
-    state_iv = IntVector(T, width_for(max(int(T.max()), 1))) if pack_state else None
+    state_iv = IntVector(T, width_for(max(int(T.max()), 1)))
     k = 1
     sa = None
     while True:
@@ -267,14 +261,12 @@ def build_suffix_array(T, pack_state=True):
         new_rank = np.empty(n, dtype=np.int64)
         new_rank[sa] = marks
         del marks
-        if pack_state:
-            state_iv = IntVector(new_rank, rank_width)
+        state_iv = IntVector(new_rank, rank_width)
         if distinct or k >= n:
             break
         k <<= 1
-        state = state_iv.to_numpy().astype(np.int64) if pack_state else new_rank
-    sa_iv = IntVector(sa, rank_width) if pack_state else None
-    return sa, sa_iv
+        state = state_iv.to_numpy().astype(np.int64)
+    return sa, IntVector(sa, rank_width)
 
 
 def inverse_permutation(perm):
@@ -353,23 +345,43 @@ def prev_next_occurrence(d):
     return prev, nxt
 
 
-class DocIsaTable:
+class DocIsaTable(serialize.Framed):
     """Per-document inverse suffix arrays over doc + local terminator."""
+
+    _tag = "doc_isa"
 
     def __init__(self, tables):
         self.tables = tables
 
     @classmethod
-    def build(cls, text, offsets, lengths):
-        tables = []
-        for off, ln in zip(offsets, lengths):
-            local = np.empty(ln + 1, dtype=np.int64)
-            local[:ln] = text[off : off + ln]
-            local[ln] = GLOBAL_TERMINATOR
-            sa, _ = build_suffix_array(local, pack_state=False)
-            isa = inverse_permutation(sa)
-            tables.append(IntVector(isa, width_for(max(int(ln), 1))))
-        return cls(tables)
+    def build(cls, sa_iv, offsets, lengths):
+        """Local inverse suffix arrays read off the global suffix array.
+
+        DOC_TERMINATOR sorts below every body symbol, so a document's
+        suffixes (its terminator included) keep their local order in the
+        global SA: a row's rank among its document's rows is the local
+        ISA value at its local position.
+        """
+        n_docs = len(offsets)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        # document of each text position, the global terminator's is n_docs;
+        # ids of up to 16 bits let the stable argsort run as a radix sort
+        doc_of = np.repeat(
+            np.arange(n_docs + 1, dtype=np.min_scalar_type(n_docs)),
+            np.append(lengths + 1, 1),
+        )
+        sa = sa_iv.to_numpy().astype(np.int64)
+        doc = doc_of[sa]
+        by_doc = np.argsort(doc, kind="stable")
+        sizes = np.bincount(doc, minlength=n_docs + 1)
+        first = np.cumsum(sizes) - sizes
+        local_rank = np.empty(len(sa), dtype=np.int64)
+        local_rank[sa[by_doc]] = np.arange(len(sa)) - np.repeat(first, sizes)
+        del sa, doc_of, doc, by_doc
+        return cls([
+            IntVector(local_rank[off : off + ln + 1], width_for(max(int(ln), 1)))
+            for off, ln in zip(offsets, lengths)
+        ])
 
     def __len__(self):
         return len(self.tables)
@@ -377,145 +389,91 @@ class DocIsaTable:
     def get(self, d, local_pos):
         return self.tables[d][local_pos]
 
-    def serialize(self, f):
-        written = serialize.write_header(
-            f, serialize.MAGIC_DOCISA, 0, len(self.tables)
+    def _frame(self):
+        return serialize.Frame(
+            serialize.MAGIC_DOCISA, 0, len(self.tables), b"",
+            [("tables", self.tables)],
         )
-        for iv in self.tables:
-            written += iv.serialize(f)
-        return written
 
     @classmethod
     def deserialize(cls, f):
         _, _, _, count = serialize.read_header(f, serialize.MAGIC_DOCISA)
         return cls([IntVector.deserialize(f) for _ in range(count)])
 
-    def serialized_bytes(self):
-        return serialize.HEADER_BYTES + sum(
-            iv.serialized_bytes() for iv in self.tables
-        )
 
-    def size_tree(self, name="doc_isa"):
-        from .sizereport import SizeTree
-
-        return SizeTree(name, self.serialized_bytes())
-
-
-class SaSamples:
+class SaSamples(serialize.Framed):
     """Sampled suffix array values plus inverse samples.
 
-    text order marks rows whose SA value is a multiple of the rate; any
-    Psi/LF walk then reaches a mark within `rate` steps. suffix order
-    samples every rate-th row instead (no walk-length guarantee).
+    Marks rows whose SA value is a multiple of the rate, so any Psi/LF walk
+    reaches a mark within `rate` steps.
     """
 
-    def __init__(self, rate, order, marked, values, isa_rows, n):
+    _tag = "sa_samples"
+
+    def __init__(self, rate, marked, values, isa_rows, n):
         self.rate = rate
-        self.order = order
         self.marked = marked
         self.values = values
         self.isa_rows = isa_rows
         self.n = n
 
     @classmethod
-    def build(cls, sa_iv, rate, order="text", chunk=_CHUNK):
+    def build(cls, sa_iv, rate, chunk=_CHUNK):
         n = sa_iv.n
         rate = max(1, min(int(rate), n))
-        if order not in ("text", "suffix"):
-            raise ValueError(f"unknown sampling order {order!r}")
         n_text = (n + rate - 1) // rate
         isa_rows = np.zeros(n_text, dtype=np.int64)
         row_width = width_for(max(n - 1, 1))
-        if order == "text":
-            row_chunks = []
-            val_chunks = []
-            for start in range(0, n, chunk):
-                stop = min(start + chunk, n)
-                sa_chunk = sa_iv.to_numpy(start, stop).astype(np.int64)
-                hit = sa_chunk % rate == 0
-                rows = start + np.flatnonzero(hit)
-                t = sa_chunk[hit] // rate
-                isa_rows[t] = rows
-                row_chunks.append(rows)
-                val_chunks.append(t)
-            all_rows = np.concatenate(row_chunks)
-            all_vals = np.concatenate(val_chunks)
-            marked = SDVector(all_rows, n)
-            values = IntVector(
-                all_vals, width_for(max((n - 1) // rate, 1))
-            )
-            return cls(
-                rate, order, marked, values,
-                IntVector(isa_rows, row_width), n,
-            )
-        vals = np.empty(n_text, dtype=np.int64)
+        row_chunks = []
+        val_chunks = []
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             sa_chunk = sa_iv.to_numpy(start, stop).astype(np.int64)
             hit = sa_chunk % rate == 0
+            rows = start + np.flatnonzero(hit)
             t = sa_chunk[hit] // rate
-            isa_rows[t] = start + np.flatnonzero(hit)
-            first = -(-start // rate) * rate
-            rows = np.arange(first, stop, rate)
-            vals[rows // rate] = sa_chunk[rows - start]
+            isa_rows[t] = rows
+            row_chunks.append(rows)
+            val_chunks.append(t)
+        all_rows = np.concatenate(row_chunks)
+        all_vals = np.concatenate(val_chunks)
+        marked = SDVector(all_rows, n)
+        values = IntVector(
+            all_vals, width_for(max((n - 1) // rate, 1))
+        )
         return cls(
-            rate, order, None,
-            IntVector(vals, row_width),
+            rate, marked, values,
             IntVector(isa_rows, row_width), n,
         )
 
     def lookup(self, row):
         """SA value at this row if the row is sampled, else None."""
-        if self.order == "text":
-            before = self.marked.rank(row)
-            if self.marked.rank(row + 1) == before:
-                return None
-            return self.values[before] * self.rate
-        if row % self.rate:
+        before = self.marked.rank(row)
+        if self.marked.rank(row + 1) == before:
             return None
-        return self.values[row // self.rate]
+        return self.values[before] * self.rate
 
     def isa_sample(self, t):
         """Row of the suffix starting at text position t*rate."""
         return self.isa_rows[t]
 
-    def serialize(self, f):
-        kind = 0 if self.order == "text" else 1
-        written = serialize.write_header(
-            f, serialize.MAGIC_SAMPLES, kind, self.n
+    def _frame(self):
+        return serialize.Frame(
+            serialize.MAGIC_SAMPLES, 0, self.n, struct.pack("<Q", self.rate),
+            [
+                ("marked", self.marked),
+                ("values", self.values),
+                ("isa_rows", self.isa_rows),
+            ],
         )
-        f.write(struct.pack("<Q", self.rate))
-        written += 8
-        if self.marked is not None:
-            written += self.marked.serialize(f)
-        written += self.values.serialize(f)
-        written += self.isa_rows.serialize(f)
-        return written
 
     @classmethod
     def deserialize(cls, f):
         _, _, kind, n = serialize.read_header(f, serialize.MAGIC_SAMPLES)
-        (rate,) = struct.unpack("<Q", f.read(8))
-        order = "text" if kind == 0 else "suffix"
-        marked = SDVector.deserialize(f) if order == "text" else None
+        if kind != 0:
+            raise serialize.FormatError(f"unknown sampling kind {kind}")
+        (rate,) = serialize.read_fields(f, "<Q")
+        marked = SDVector.deserialize(f)
         values = IntVector.deserialize(f)
         isa_rows = IntVector.deserialize(f)
-        return cls(rate, order, marked, values, isa_rows, n)
-
-    def serialized_bytes(self):
-        total = serialize.HEADER_BYTES + 8
-        if self.marked is not None:
-            total += self.marked.serialized_bytes()
-        total += self.values.serialized_bytes()
-        total += self.isa_rows.serialized_bytes()
-        return total
-
-    def size_tree(self, name="sa_samples"):
-        from .sizereport import SizeTree
-
-        children = []
-        if self.marked is not None:
-            children.append(self.marked.size_tree("marked"))
-        children.append(self.values.size_tree("values"))
-        children.append(self.isa_rows.size_tree("isa_rows"))
-        return SizeTree(name, serialize.HEADER_BYTES + 8, children)
+        return cls(rate, marked, values, isa_rows, n)

@@ -23,11 +23,10 @@ from .compressed import SDVector
 from .construct import SaSamples, bwt_from_sa, psi_from_bwt
 from .wavelet import WaveletTree, WaveletTreeHuff, read_wavelet
 
-_CHUNK = 1 << 20
 _U32 = struct.Struct("<I")
 
 
-class _CsaBase:
+class _CsaBase(serialize.Framed):
     """Shared pattern-matching driver; subclasses provide the steps."""
 
     def __len__(self):
@@ -79,9 +78,22 @@ class _CsaBase:
                 f"extract({start}, {length}) outside text of length {self.n}"
             )
 
+    def _frame_with(self, magic, name, body):
+        """Frame shared by both flavors: sigma, counts, body, samples."""
+        return serialize.Frame(
+            magic, 0, self.n, _U32.pack(self.sigma_total),
+            [
+                ("counts", IntVector(self.cnt, width_for(max(self.n, 1)))),
+                (name, body),
+                ("sa_samples", self.samples),
+            ],
+        )
+
 
 class CsaPsi(_CsaBase):
     """Compressed suffix array backed by per-symbol Psi lists."""
+
+    _tag = "csa_psi"
 
     def __init__(self, sds, cnt, samples, n):
         self.sds = sds
@@ -90,10 +102,10 @@ class CsaPsi(_CsaBase):
         self.n = n
 
     @classmethod
-    def build(cls, text_iv, sa_iv, sigma_total, sample_rate, chunk=_CHUNK):
-        bwt_iv = bwt_from_sa(text_iv, sa_iv, chunk)
+    def build(cls, text_iv, sa_iv, sigma_total, sample_rate):
+        bwt_iv = bwt_from_sa(text_iv, sa_iv)
         sds, cnt = psi_from_bwt(bwt_iv, sigma_total)
-        samples = SaSamples.build(sa_iv, sample_rate, "text", chunk)
+        samples = SaSamples.build(sa_iv, sample_rate)
         return cls(sds, cnt, samples, text_iv.n)
 
     def psi(self, i):
@@ -131,56 +143,23 @@ class CsaPsi(_CsaBase):
             j = self.psi(j)
         return out
 
-    def serialize(self, f):
-        written = serialize.write_header(
-            f, serialize.MAGIC_CSA_PSI, 0, self.n
-        )
-        f.write(_U32.pack(self.sigma_total))
-        written += _U32.size
-        written += self._cnt_iv().serialize(f)
-        for sd in self.sds:
-            written += sd.serialize(f)
-        written += self.samples.serialize(f)
-        return written
-
-    def _cnt_iv(self):
-        return IntVector(self.cnt, width_for(max(self.n, 1)))
+    def _frame(self):
+        return self._frame_with(serialize.MAGIC_CSA_PSI, "psi_lists", self.sds)
 
     @classmethod
     def deserialize(cls, f):
         _, _, _, n = serialize.read_header(f, serialize.MAGIC_CSA_PSI)
-        (sigma,) = _U32.unpack(f.read(_U32.size))
+        (sigma,) = serialize.read_fields(f, _U32.format)
         cnt = IntVector.deserialize(f).to_numpy().astype(np.int64)
         sds = [SDVector.deserialize(f) for _ in range(sigma)]
         samples = SaSamples.deserialize(f)
         return cls(sds, cnt, samples, n)
 
-    def serialized_bytes(self):
-        return (
-            serialize.HEADER_BYTES
-            + _U32.size
-            + self._cnt_iv().serialized_bytes()
-            + sum(sd.serialized_bytes() for sd in self.sds)
-            + self.samples.serialized_bytes()
-        )
-
-    def size_tree(self, name="csa_psi"):
-        from .sizereport import SizeTree
-
-        psi_total = sum(sd.serialized_bytes() for sd in self.sds)
-        return SizeTree(
-            name,
-            serialize.HEADER_BYTES + _U32.size,
-            [
-                self._cnt_iv().size_tree("counts"),
-                SizeTree("psi_lists", psi_total),
-                self.samples.size_tree(),
-            ],
-        )
-
 
 class CsaWt(_CsaBase):
     """Compressed suffix array backed by a wavelet tree over the BWT."""
+
+    _tag = "csa_wt"
 
     def __init__(self, wt, cnt, samples, n):
         self.wt = wt
@@ -189,16 +168,8 @@ class CsaWt(_CsaBase):
         self.n = n
 
     @classmethod
-    def build(
-        cls,
-        text_iv,
-        sa_iv,
-        sigma_total,
-        sample_rate,
-        backend="rrr",
-        chunk=_CHUNK,
-    ):
-        bwt_iv = bwt_from_sa(text_iv, sa_iv, chunk)
+    def build(cls, text_iv, sa_iv, sigma_total, sample_rate, backend="rrr"):
+        bwt_iv = bwt_from_sa(text_iv, sa_iv)
         bwt = bwt_iv.to_numpy().astype(np.int64)
         del bwt_iv
         hist = np.bincount(bwt, minlength=sigma_total)
@@ -208,7 +179,7 @@ class CsaWt(_CsaBase):
             wt = WaveletTreeHuff(bwt.astype(np.uint8), backend=backend)
         else:
             wt = WaveletTree(bwt, sigma=sigma_total, backend=backend)
-        samples = SaSamples.build(sa_iv, sample_rate, "text", chunk)
+        samples = SaSamples.build(sa_iv, sample_rate)
         return cls(wt, cnt, samples, text_iv.n)
 
     def lf(self, i):
@@ -252,48 +223,17 @@ class CsaWt(_CsaBase):
             j = self.lf(j)
         return out
 
-    def serialize(self, f):
-        written = serialize.write_header(f, serialize.MAGIC_CSA_WT, 0, self.n)
-        f.write(_U32.pack(self.sigma_total))
-        written += _U32.size
-        written += self._cnt_iv().serialize(f)
-        written += self.wt.serialize(f)
-        written += self.samples.serialize(f)
-        return written
-
-    def _cnt_iv(self):
-        return IntVector(self.cnt, width_for(max(self.n, 1)))
+    def _frame(self):
+        return self._frame_with(serialize.MAGIC_CSA_WT, "bwt_wavelet", self.wt)
 
     @classmethod
     def deserialize(cls, f):
         _, _, _, n = serialize.read_header(f, serialize.MAGIC_CSA_WT)
-        (sigma,) = _U32.unpack(f.read(_U32.size))
+        (sigma,) = serialize.read_fields(f, _U32.format)
         cnt = IntVector.deserialize(f).to_numpy().astype(np.int64)
         wt = read_wavelet(f)
         samples = SaSamples.deserialize(f)
         return cls(wt, cnt, samples, n)
-
-    def serialized_bytes(self):
-        return (
-            serialize.HEADER_BYTES
-            + _U32.size
-            + self._cnt_iv().serialized_bytes()
-            + self.wt.serialized_bytes()
-            + self.samples.serialized_bytes()
-        )
-
-    def size_tree(self, name="csa_wt"):
-        from .sizereport import SizeTree
-
-        return SizeTree(
-            name,
-            serialize.HEADER_BYTES + _U32.size,
-            [
-                self._cnt_iv().size_tree("counts"),
-                self.wt.size_tree("bwt_wavelet"),
-                self.samples.size_tree(),
-            ],
-        )
 
 
 def read_csa(f):

@@ -65,8 +65,9 @@ def _score_hits(pairs, k, ranking, n_docs, df):
     return [Hit(d, tf, tf * idf) for d, tf in pairs[:k]]
 
 
-class _IndexBase:
+class _IndexBase(serialize.Framed):
     algo = None
+    _tag = "index"
 
     def __len__(self):
         return self.n
@@ -178,17 +179,18 @@ class SadaIndex(_IndexBase):
             return 0
         return len(self._list_edges(*hit, self.rminq, leftmost=True))
 
-    def serialize(self, f):
-        written = serialize.write_header(f, serialize.MAGIC_INDEX, 0, self.n)
-        f.write(_U64.pack(self.n_docs))
-        written += _U64.size
-        written += self.alphabet.serialize(f)
-        written += self.csa.serialize(f)
-        written += self.border.serialize(f)
-        written += self.doc_isa.serialize(f)
-        written += self.rminq.serialize(f)
-        written += self.rmaxq.serialize(f)
-        return written
+    def _frame(self):
+        return serialize.Frame(
+            serialize.MAGIC_INDEX, 0, self.n, _U64.pack(self.n_docs),
+            [
+                ("alphabet", self.alphabet),
+                ("csa_psi", self.csa),
+                ("doc_borders", self.border),
+                ("doc_isa", self.doc_isa),
+                ("first_occ_rmq", self.rminq),
+                ("last_occ_rmq", self.rmaxq),
+            ],
+        )
 
     @classmethod
     def deserialize(cls, f, n, n_docs):
@@ -199,34 +201,6 @@ class SadaIndex(_IndexBase):
         rminq = RmqSct.deserialize(f)
         rmaxq = RmaxSct.deserialize(f)
         return cls(csa, alphabet, border, doc_isa, rminq, rmaxq, n_docs)
-
-    def serialized_bytes(self):
-        return (
-            serialize.HEADER_BYTES
-            + _U64.size
-            + self.alphabet.serialized_bytes()
-            + self.csa.serialized_bytes()
-            + self.border.serialized_bytes()
-            + self.doc_isa.serialized_bytes()
-            + self.rminq.serialized_bytes()
-            + self.rmaxq.serialized_bytes()
-        )
-
-    def size_tree(self, name="index"):
-        from .sizereport import SizeTree
-
-        return SizeTree(
-            name,
-            serialize.HEADER_BYTES + _U64.size,
-            [
-                SizeTree("alphabet", self.alphabet.serialized_bytes()),
-                self.csa.size_tree(),
-                self.border.size_tree("doc_borders"),
-                self.doc_isa.size_tree(),
-                self.rminq.size_tree("first_occ_rmq"),
-                self.rmaxq.size_tree("last_occ_rmq"),
-            ],
-        )
 
 
 class GreedyIndex(_IndexBase):
@@ -276,14 +250,15 @@ class GreedyIndex(_IndexBase):
             return 0
         return self._df_interval(*hit)
 
-    def serialize(self, f):
-        written = serialize.write_header(f, serialize.MAGIC_INDEX, 1, self.n)
-        f.write(_U64.pack(self.n_docs))
-        written += _U64.size
-        written += self.alphabet.serialize(f)
-        written += self.csa.serialize(f)
-        written += self.doc_wt.serialize(f)
-        return written
+    def _frame(self):
+        return serialize.Frame(
+            serialize.MAGIC_INDEX, 1, self.n, _U64.pack(self.n_docs),
+            [
+                ("alphabet", self.alphabet),
+                ("csa_wt", self.csa),
+                ("doc_wavelet", self.doc_wt),
+            ],
+        )
 
     @classmethod
     def deserialize(cls, f, n, n_docs):
@@ -291,28 +266,6 @@ class GreedyIndex(_IndexBase):
         csa = CsaWt.deserialize(f)
         doc_wt = WaveletTree.deserialize(f)
         return cls(csa, alphabet, doc_wt, n_docs)
-
-    def serialized_bytes(self):
-        return (
-            serialize.HEADER_BYTES
-            + _U64.size
-            + self.alphabet.serialized_bytes()
-            + self.csa.serialized_bytes()
-            + self.doc_wt.serialized_bytes()
-        )
-
-    def size_tree(self, name="index"):
-        from .sizereport import SizeTree
-
-        return SizeTree(
-            name,
-            serialize.HEADER_BYTES + _U64.size,
-            [
-                SizeTree("alphabet", self.alphabet.serialized_bytes()),
-                self.csa.size_tree(),
-                self.doc_wt.size_tree("doc_wavelet"),
-            ],
-        )
 
 
 class SortIndex(_IndexBase):
@@ -344,14 +297,15 @@ class SortIndex(_IndexBase):
     def _df_symbols(self, symbols):
         return len(self._ranked(symbols))
 
-    def serialize(self, f):
-        written = serialize.write_header(f, serialize.MAGIC_INDEX, 2, self.n)
-        f.write(_U64.pack(self.n_docs))
-        written += _U64.size
-        written += self.alphabet.serialize(f)
-        written += self.csa.serialize(f)
-        written += self.doc_iv.serialize(f)
-        return written
+    def _frame(self):
+        return serialize.Frame(
+            serialize.MAGIC_INDEX, 2, self.n, _U64.pack(self.n_docs),
+            [
+                ("alphabet", self.alphabet),
+                ("csa_wt", self.csa),
+                ("doc_array", self.doc_iv),
+            ],
+        )
 
     @classmethod
     def deserialize(cls, f, n, n_docs):
@@ -360,35 +314,13 @@ class SortIndex(_IndexBase):
         doc_iv = IntVector.deserialize(f)
         return cls(csa, alphabet, doc_iv, n_docs)
 
-    def serialized_bytes(self):
-        return (
-            serialize.HEADER_BYTES
-            + _U64.size
-            + self.alphabet.serialized_bytes()
-            + self.csa.serialized_bytes()
-            + self.doc_iv.serialized_bytes()
-        )
-
-    def size_tree(self, name="index"):
-        from .sizereport import SizeTree
-
-        return SizeTree(
-            name,
-            serialize.HEADER_BYTES + _U64.size,
-            [
-                SizeTree("alphabet", self.alphabet.serialized_bytes()),
-                self.csa.size_tree(),
-                self.doc_iv.size_tree("doc_array"),
-            ],
-        )
-
 
 _INDEX_CLASSES = {0: SadaIndex, 1: GreedyIndex, 2: SortIndex}
 
 
 def read_index(f):
     _, _, algo_id, n = serialize.read_header(f, serialize.MAGIC_INDEX)
-    (n_docs,) = _U64.unpack(f.read(_U64.size))
+    (n_docs,) = serialize.read_fields(f, _U64.format)
     try:
         cls = _INDEX_CLASSES[algo_id]
     except KeyError:
@@ -419,7 +351,7 @@ def build_sada(collection, sample_rate=32, temp_dir=None):
     text_iv = collection.packed_text()
     n = collection.n
     with mm.phase("sa"):
-        _, sa_iv = build_suffix_array(collection.text, pack_state=True)
+        _, sa_iv = build_suffix_array(collection.text)
         _dump_temp(temp_dir, "sa.iv", sa_iv)
     with mm.phase("bwt"):
         bwt_iv = bwt_from_sa(text_iv, sa_iv)
@@ -427,11 +359,11 @@ def build_sada(collection, sample_rate=32, temp_dir=None):
     with mm.phase("psi"):
         sds, cnt = psi_from_bwt(bwt_iv, collection.sigma_total)
         del bwt_iv
-        samples = SaSamples.build(sa_iv, sample_rate, "text")
+        samples = SaSamples.build(sa_iv, sample_rate)
         csa = CsaPsi(sds, cnt, samples, n)
     with mm.phase("doc_isa"):
         doc_isa = DocIsaTable.build(
-            collection.text, collection.offsets, collection.lengths
+            sa_iv, collection.offsets, collection.lengths
         )
     with mm.phase("d"):
         d_iv = d_from_sa(sa_iv, collection.sharp_positions, collection.n_docs)
@@ -461,13 +393,13 @@ def _default_rate(n):
     return min(1 << 20, n)
 
 
-def build_greedy(collection, sample_rate=None, backend="rrr", temp_dir=None):
+def build_greedy(collection, sample_rate=None, temp_dir=None):
     mm = memory_monitor
     text_iv = collection.packed_text()
     n = collection.n
     rate = _default_rate(n) if sample_rate is None else sample_rate
     with mm.phase("sa"):
-        _, sa_iv = build_suffix_array(collection.text, pack_state=True)
+        _, sa_iv = build_suffix_array(collection.text)
         _dump_temp(temp_dir, "sa.iv", sa_iv)
     with mm.phase("bwt"):
         csa = CsaWt.build(text_iv, sa_iv, collection.sigma_total, rate)
@@ -478,7 +410,7 @@ def build_greedy(collection, sample_rate=None, backend="rrr", temp_dir=None):
         doc_wt = WaveletTree(
             d_iv.to_numpy().astype(np.int64),
             sigma=collection.n_docs + 1,
-            backend=backend,
+            backend="rrr",
         )
         del d_iv
     return GreedyIndex(csa, collection.alphabet, doc_wt, collection.n_docs)
@@ -489,7 +421,7 @@ def build_sort(collection, sample_rate=None, temp_dir=None):
     text_iv = collection.packed_text()
     rate = _default_rate(collection.n) if sample_rate is None else sample_rate
     with mm.phase("sa"):
-        _, sa_iv = build_suffix_array(collection.text, pack_state=True)
+        _, sa_iv = build_suffix_array(collection.text)
         _dump_temp(temp_dir, "sa.iv", sa_iv)
     with mm.phase("bwt"):
         csa = CsaWt.build(text_iv, sa_iv, collection.sigma_total, rate)

@@ -40,12 +40,14 @@ _MINPRE16 = _MINPRE8.astype(np.int32)
 _DELTA16 = _DELTA8.astype(np.int32)
 
 
-class RmqSct:
+class RmqSct(serialize.Framed):
     """Range minimum (leftmost tie) over a fixed array of values.
 
     The values themselves are not stored; only their ordering structure.
     Build over negated values to get a range-maximum structure.
     """
+
+    _tag = "rmq"
 
     def __init__(self, values):
         values = list(values)
@@ -235,18 +237,15 @@ class RmqSct:
             pos, val = self._argmin_excess(a - 1, b)
         return self.bp.rank(pos + 2) - 1
 
-    def serialize(self, f):
-        written = serialize.write_header(f, serialize.MAGIC_RMQ, 0, self.n)
-        written += self.bp.serialize(f)
-        for iv in self._dir_parts():
-            written += iv.serialize(f)
-        return written
-
-    def _dir_parts(self):
-        w = IntVector(self._wordmin.astype(np.int64) + 64, 8)
-        g = IntVector(self._l1min.astype(np.int64) + 4096, 13)
-        s = IntVector(self._l2min.astype(np.int64) + 262144, 19)
-        return w, g, s
+    def _frame(self):
+        return serialize.Frame(serialize.MAGIC_RMQ, 0, self.n, b"", [
+            ("parens", self.bp),
+            ("word_mins", IntVector(self._wordmin.astype(np.int64) + 64, 8)),
+            ("group_mins", IntVector(self._l1min.astype(np.int64) + 4096, 13)),
+            ("super_mins", IntVector(
+                self._l2min.astype(np.int64) + 262144, 19
+            )),
+        ])
 
     @classmethod
     def deserialize(cls, f):
@@ -263,31 +262,11 @@ class RmqSct:
         rm._finish()
         return rm
 
-    def serialized_bytes(self):
-        return (
-            serialize.HEADER_BYTES
-            + self.bp.serialized_bytes()
-            + sum(iv.serialized_bytes() for iv in self._dir_parts())
-        )
 
-    def size_tree(self, name="rmq"):
-        from .sizereport import SizeTree
-
-        w, g, s = self._dir_parts()
-        return SizeTree(
-            name,
-            serialize.HEADER_BYTES,
-            [
-                self.bp.size_tree("parens"),
-                w.size_tree("word_mins"),
-                g.size_tree("group_mins"),
-                s.size_tree("super_mins"),
-            ],
-        )
-
-
-class RmaxSct:
+class RmaxSct(serialize.Framed):
     """Range maximum (leftmost tie), by negating values into an RmqSct."""
+
+    _tag = "rmax"
 
     def __init__(self, values):
         values = np.asarray(values, dtype=np.int64)
@@ -300,8 +279,8 @@ class RmaxSct:
     def query(self, l, r):
         return self._rmq.query(l, r)
 
-    def serialize(self, f):
-        return self._rmq.serialize(f)
+    def _frame(self):
+        return self._rmq._frame()
 
     @classmethod
     def deserialize(cls, f):
@@ -309,9 +288,3 @@ class RmaxSct:
         rm._rmq = RmqSct.deserialize(f)
         rm.n = rm._rmq.n
         return rm
-
-    def serialized_bytes(self):
-        return self._rmq.serialized_bytes()
-
-    def size_tree(self, name="rmax"):
-        return self._rmq.size_tree(name)

@@ -1,13 +1,26 @@
 """Shared on-disk framing.
 
-Every serialized structure starts with the same 18-byte frame header:
-magic tag (8 bytes), format version (1 byte), width (1 byte), element count
-(8 bytes little-endian). Payloads are padded to whole 64-bit words.
-Composite structures write a frame of their own followed by the frames of
-their components in a fixed order.
+Every serialized structure is one frame: an 18-byte header, then fixed
+fields, then its components' frames in declared order. The header holds a
+magic tag (8 bytes), the format version (1 byte), a width byte and an
+element count (8 bytes little-endian); packed payloads are padded to whole
+64-bit words.
+
+A persistent class derives from Framed and declares its frame once, in
+_frame(): header width and length, the fixed fields as one bytes-like
+object, and the components as an ordered list of (name, component) pairs.
+serialize, serialized_bytes and size_tree all walk that one list, so the
+size report cannot disagree with the file. A component that is a list of
+structures is written member by member and reported as one size leaf.
+Readers stay hand-written per class, because what follows a header
+depends on the data; they read fixed fields through read_fields, which
+turns a short read into FormatError.
 """
 
 import struct
+from typing import NamedTuple
+
+from .sizereport import SizeTree
 
 FORMAT_VERSION = 1
 HEADER_BYTES = 18
@@ -57,6 +70,16 @@ def read_header(f, expect=None):
     return magic, version, width, length
 
 
+def read_fields(f, fmt):
+    """Unpack the fixed fields a struct format describes; short reads
+    raise FormatError."""
+    size = struct.calcsize(fmt)
+    raw = f.read(size)
+    if len(raw) != size:
+        raise FormatError("truncated fixed fields")
+    return struct.unpack(fmt, raw)
+
+
 def peek_magic(f):
     pos = f.tell()
     raw = f.read(8)
@@ -74,3 +97,56 @@ def payload_words(n, width):
 def serialized_bytes(n, width):
     """Exact frame size for a packed vector: header plus padded payload."""
     return HEADER_BYTES + 8 * payload_words(n, width)
+
+
+class Frame(NamedTuple):
+    """One structure's on-disk layout: header, fixed fields, components."""
+
+    magic: bytes
+    width: int
+    length: int
+    fixed: object = b""
+    parts: tuple = ()
+
+
+class Framed:
+    """Base of every persistent structure; subclasses define _frame()."""
+
+    _tag = None
+
+    def _frame(self):
+        raise NotImplementedError
+
+    def serialize(self, f):
+        """Write the frame; returns the number of bytes written."""
+        frame = self._frame()
+        written = write_header(f, frame.magic, frame.width, frame.length)
+        fixed = memoryview(frame.fixed).cast("B")
+        f.write(fixed)
+        written += len(fixed)
+        for _, part in frame.parts:
+            for member in part if isinstance(part, list) else (part,):
+                written += member.serialize(f)
+        return written
+
+    def serialized_bytes(self):
+        frame = self._frame()
+        return HEADER_BYTES + memoryview(frame.fixed).nbytes + sum(
+            member.serialized_bytes()
+            for _, part in frame.parts
+            for member in (part if isinstance(part, list) else (part,))
+        )
+
+    def size_tree(self, name=None):
+        frame = self._frame()
+        children = [
+            SizeTree(pname, sum(m.serialized_bytes() for m in part))
+            if isinstance(part, list)
+            else part.size_tree(pname)
+            for pname, part in frame.parts
+        ]
+        return SizeTree(
+            name or self._tag,
+            HEADER_BYTES + memoryview(frame.fixed).nbytes,
+            children,
+        )

@@ -22,8 +22,36 @@ _BACKEND_IDS = {"plain": 0, "rrr": 1}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
 
-class WaveletTree:
+class _WaveletBase(serialize.Framed):
+    """Queries both shapes answer the same way, on top of their rank."""
+
+    def __len__(self):
+        return self.n
+
+    def select(self, j, c):
+        """Position of the j-th (1-based) occurrence of symbol c."""
+        j = int(j)
+        total = self.rank(self.n, c)
+        if not 1 <= j <= total:
+            raise ValueError(f"select index {j} out of range (m={total})")
+        lo, hi = 0, self.n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.rank(mid + 1, c) >= j:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def count(self, lo, hi, c):
+        """Occurrences of c in [lo, hi)."""
+        return self.rank(hi, c) - self.rank(lo, c)
+
+
+class WaveletTree(_WaveletBase):
     """Balanced wavelet tree with rank/select/access and node expansion."""
+
+    _tag = "wavelet"
 
     def __init__(self, seq, sigma=None, backend="plain"):
         seq = np.asarray(seq, dtype=np.int64)
@@ -47,9 +75,6 @@ class WaveletTree:
                 order = np.argsort(seq >> shift, kind="stable")
                 cur = seq[order]
         self.levels = levels
-
-    def __len__(self):
-        return self.n
 
     def access(self, i):
         i = int(i)
@@ -98,25 +123,6 @@ class WaveletTree:
                 i = i - ones_at_i
                 hi = lo + zeros_total
         return i
-
-    def select(self, j, c):
-        """Position of the j-th (1-based) occurrence of symbol c."""
-        j = int(j)
-        total = self.rank(self.n, c)
-        if not 1 <= j <= total:
-            raise ValueError(f"select index {j} out of range (m={total})")
-        lo, hi = 0, self.n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.rank(mid + 1, c) >= j:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def count(self, lo, hi, c):
-        """Occurrences of c in [lo, hi)."""
-        return self.rank(hi, c) - self.rank(lo, c)
 
     def root(self):
         """(depth, prefix, node_lo, node_hi) tuple for the root node."""
@@ -175,23 +181,21 @@ class WaveletTree:
             stack.append(right)
         return total
 
-    def serialize(self, f):
-        written = serialize.write_header(f, serialize.MAGIC_WT, 0, self.n)
-        head = struct.pack(
-            "<BQQ", _BACKEND_IDS[self.backend], self.height, self.sigma
+    def _frame(self):
+        return serialize.Frame(
+            serialize.MAGIC_WT, 0, self.n,
+            struct.pack(
+                "<BQQ", _BACKEND_IDS[self.backend], self.height, self.sigma
+            ),
+            [(f"level{i}", bv) for i, bv in enumerate(self.levels)],
         )
-        f.write(head)
-        written += len(head)
-        for bv in self.levels:
-            written += bv.serialize(f)
-        return written
 
     @classmethod
     def deserialize(cls, f):
         _, _, shape, n = serialize.read_header(f, serialize.MAGIC_WT)
         if shape != 0:
             raise serialize.FormatError("not a balanced wavelet tree frame")
-        kind, height, sigma = struct.unpack("<BQQ", f.read(17))
+        kind, height, sigma = serialize.read_fields(f, "<BQQ")
         wt = cls.__new__(cls)
         wt.n = n
         wt.sigma = sigma
@@ -199,25 +203,6 @@ class WaveletTree:
         wt.backend = _BACKEND_NAMES[kind]
         wt.levels = [read_bits(f) for _ in range(height)]
         return wt
-
-    def serialized_bytes(self):
-        return (
-            serialize.HEADER_BYTES
-            + 17
-            + sum(bv.serialized_bytes() for bv in self.levels)
-        )
-
-    def size_tree(self, name="wavelet"):
-        from .sizereport import SizeTree
-
-        return SizeTree(
-            name,
-            serialize.HEADER_BYTES + 17,
-            [
-                bv.size_tree(f"level{i}")
-                for i, bv in enumerate(self.levels)
-            ],
-        )
 
 
 def huffman_lengths(freqs):
@@ -262,8 +247,10 @@ def canonical_codes(lengths):
     return codes
 
 
-class WaveletTreeHuff:
+class WaveletTreeHuff(_WaveletBase):
     """Huffman-shaped wavelet tree with one bitvector per internal node."""
+
+    _tag = "wavelet_huff"
 
     def __init__(self, seq, backend="plain"):
         seq = np.asarray(seq, dtype=np.int64)
@@ -317,9 +304,6 @@ class WaveletTreeHuff:
                     stack.append((child[1], depth + 1, sub[bits == bit]))
         self.nodes = nodes
 
-    def __len__(self):
-        return self.n
-
     @property
     def sigma(self):
         return len(self.codes)
@@ -357,44 +341,18 @@ class WaveletTreeHuff:
                 node = self.children[node][bit][1]
         return i
 
-    def select(self, j, c):
-        """Position of the j-th (1-based) occurrence of symbol c."""
-        j = int(j)
-        total = self.rank(self.n, c)
-        if not 1 <= j <= total:
-            raise ValueError(f"select index {j} out of range (m={total})")
-        lo, hi = 0, self.n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.rank(mid + 1, c) >= j:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def count(self, lo, hi, c):
-        return self.rank(hi, c) - self.rank(lo, c)
-
     def symbol_counts(self):
         """{symbol: total occurrences} from the root structure."""
         return {c: self.rank(self.n, c) for c in self.codes}
 
-    def serialize(self, f):
-        written = serialize.write_header(f, serialize.MAGIC_WT, 1, self.n)
+    def _frame(self):
         syms = sorted(self.codes)
         head = struct.pack("<BH", _BACKEND_IDS[self.backend], len(syms))
-        f.write(head)
-        written += len(head)
-        table = struct.pack(
-            f"<{2 * len(syms)}B",
-            *[v for s in syms for v in (s, self.codes[s][1])],
+        table = bytes(v for s in syms for v in (s, self.codes[s][1]))
+        return serialize.Frame(
+            serialize.MAGIC_WT, 1, self.n, head + table,
+            [(f"node{node}", self.nodes[node]) for node in self._preorder()],
         )
-        f.write(table)
-        written += len(table)
-        order = self._preorder()
-        for node in order:
-            written += self.nodes[node].serialize(f)
-        return written
 
     def _preorder(self):
         order = []
@@ -413,8 +371,8 @@ class WaveletTreeHuff:
         _, _, shape, n = serialize.read_header(f, serialize.MAGIC_WT)
         if shape != 1:
             raise serialize.FormatError("not a huffman wavelet tree frame")
-        kind, nsym = struct.unpack("<BH", f.read(3))
-        raw = struct.unpack(f"<{2 * nsym}B", f.read(2 * nsym))
+        kind, nsym = serialize.read_fields(f, "<BH")
+        raw = serialize.read_fields(f, f"<{2 * nsym}B")
         lengths = {raw[2 * k]: raw[2 * k + 1] for k in range(nsym)}
         wt = cls.__new__(cls)
         wt.n = n
@@ -427,26 +385,6 @@ class WaveletTreeHuff:
             nodes[node] = read_bits(f)
         wt.nodes = nodes
         return wt
-
-    def serialized_bytes(self):
-        return (
-            serialize.HEADER_BYTES
-            + 3
-            + 2 * len(self.codes)
-            + sum(bv.serialized_bytes() for bv in self.nodes)
-        )
-
-    def size_tree(self, name="wavelet_huff"):
-        from .sizereport import SizeTree
-
-        return SizeTree(
-            name,
-            serialize.HEADER_BYTES + 3 + 2 * len(self.codes),
-            [
-                self.nodes[node].size_tree(f"node{node}")
-                for node in self._preorder()
-            ],
-        )
 
 
 def read_wavelet(f):

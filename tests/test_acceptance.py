@@ -320,7 +320,7 @@ def test_criterion_2_worked_example_trace():
     csa = CsaPsi.build(text_iv, sa_iv, coll.sigma_total, sample_rate=1)
     assert csa.backward_search(coll.alphabet.encode_pattern(b"a")) == (3, 5)
 
-    doc_isa = DocIsaTable.build(coll.text, coll.offsets, coll.lengths)
+    doc_isa = DocIsaTable.build(sa_iv, coll.offsets, coll.lengths)
     assert [doc_isa.get(0, p) for p in range(4)] == [2, 3, 1, 0]
 
     idx = build_sada(coll, sample_rate=1)
@@ -570,12 +570,12 @@ def test_criterion_7_serialization_roundtrip(tmp_path):
         csa = _roundtrip(built, cls)
         for i in rng.integers(0, coll.n, 200):
             assert csa.sa_access(int(i)) == int(sa[i])
-    _roundtrip(SaSamples.build(sa_iv, 8, "text"), SaSamples)
+    _roundtrip(SaSamples.build(sa_iv, 8), SaSamples)
     di = _roundtrip(
-        DocIsaTable.build(coll.text, coll.offsets, coll.lengths), DocIsaTable
+        DocIsaTable.build(sa_iv, coll.offsets, coll.lengths), DocIsaTable
     )
     assert di.get(0, 0) == DocIsaTable.build(
-        coll.text, coll.offsets, coll.lengths
+        sa_iv, coll.offsets, coll.lengths
     ).get(0, 0)
 
     # same-seed builds serialize bit-identically, and reload answers match

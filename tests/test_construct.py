@@ -21,6 +21,7 @@ from succix.construct import (
     read_byte_docs,
     read_word_docs,
 )
+from succix.serialize import FormatError
 
 
 @pytest.fixture
@@ -129,7 +130,7 @@ class TestSuffixArray:
         assert inverse_permutation(sa).tolist() == ex.ISA
 
     def test_tiny_text(self):
-        sa, _ = build_suffix_array([2, 3, 0], pack_state=False)
+        sa, _ = build_suffix_array([2, 3, 0])
         assert sa.tolist() == [2, 0, 1]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -139,7 +140,7 @@ class TestSuffixArray:
             n = int(rng.integers(2, 180))
             t = rng.integers(2, 2 + sigma, size=n)
             t[-1] = 0
-            sa, _ = build_suffix_array(t, pack_state=False)
+            sa, _ = build_suffix_array(t)
             assert sa.tolist() == oracles.suffix_array(t.tolist())
 
     def test_periodic_texts(self):
@@ -211,7 +212,8 @@ class TestBwtPsiD:
 
 class TestDocIsa:
     def test_worked_example(self, coll):
-        table = DocIsaTable.build(coll.text, coll.offsets, coll.lengths)
+        _, sa_iv = build_suffix_array(coll.text)
+        table = DocIsaTable.build(sa_iv, coll.offsets, coll.lengths)
         assert len(table) == 2
         assert table.tables[0].to_numpy().tolist() == ex.DOC0_ISA
         assert table.tables[1].to_numpy().tolist() == ex.DOC1_ISA
@@ -220,11 +222,13 @@ class TestDocIsa:
 
     def test_matches_local_suffix_sort(self):
         rng = np.random.default_rng(8)
-        docs = [rng.integers(2, 7, size=int(rng.integers(1, 40))) for _ in range(6)]
+        # few symbols, so documents share long substrings
+        docs = [rng.integers(2, 5, size=int(rng.integers(1, 40))) for _ in range(30)]
         offsets = np.cumsum([0] + [len(d) + 1 for d in docs[:-1]])
         text = np.concatenate([np.append(d, 1) for d in docs] + [[0]])
         lengths = np.array([len(d) for d in docs])
-        table = DocIsaTable.build(text, offsets, lengths)
+        _, sa_iv = build_suffix_array(text)
+        table = DocIsaTable.build(sa_iv, offsets, lengths)
         for d, doc in enumerate(docs):
             local = doc.tolist() + [0]
             sa = oracles.suffix_array(local)
@@ -232,7 +236,8 @@ class TestDocIsa:
             assert table.tables[d].to_numpy().tolist() == isa
 
     def test_round_trip(self, coll):
-        table = DocIsaTable.build(coll.text, coll.offsets, coll.lengths)
+        _, sa_iv = build_suffix_array(coll.text)
+        table = DocIsaTable.build(sa_iv, coll.offsets, coll.lengths)
         buf = io.BytesIO()
         written = table.serialize(buf)
         assert written == table.serialized_bytes() == len(buf.getvalue())
@@ -244,38 +249,26 @@ class TestDocIsa:
 class TestSaSamples:
     def test_text_order_worked_example(self, coll):
         _, sa_iv = build_suffix_array(coll.text)
-        s = SaSamples.build(sa_iv, 2, "text")
+        s = SaSamples.build(sa_iv, 2)
         assert s.marked.to_values().tolist() == [1, 3, 4, 5]
         assert [s.lookup(r) for r in range(8)] == [
             None, 6, None, 2, 4, 0, None, None,
         ]
         assert [s.isa_sample(t) for t in range(4)] == [5, 3, 4, 1]
 
-    def test_suffix_order_worked_example(self, coll):
-        _, sa_iv = build_suffix_array(coll.text)
-        s = SaSamples.build(sa_iv, 2, "suffix")
-        assert [s.lookup(r) for r in range(8)] == [
-            7, None, 3, None, 4, None, 5, None,
-        ]
-        # inverse samples stay in text order
-        assert [s.isa_sample(t) for t in range(4)] == [5, 3, 4, 1]
-
-    @pytest.mark.parametrize("order", ["text", "suffix"])
-    @pytest.mark.parametrize("rate", [1, 4, 32, 10_000])
-    def test_randomized_lookup(self, order, rate):
+    # ids keep the names these cases had beside the removed suffix order
+    @pytest.mark.parametrize("rate", [1, 4, 32, 10_000], ids="{}-text".format)
+    def test_randomized_lookup(self, rate):
         rng = np.random.default_rng(rate)
         t = rng.integers(2, 6, size=5000).astype(np.int64)
         t[-1] = 0
         sa, sa_iv = build_suffix_array(t)
-        s = SaSamples.build(sa_iv, rate, order, chunk=1024)
+        s = SaSamples.build(sa_iv, rate, chunk=1024)
         got_rate = min(rate, 5000)
         assert s.rate == got_rate
         for row in rng.integers(0, 5000, size=200):
             v = s.lookup(int(row))
-            if order == "suffix":
-                expect = int(sa[row]) if row % got_rate == 0 else None
-            else:
-                expect = int(sa[row]) if sa[row] % got_rate == 0 else None
+            expect = int(sa[row]) if sa[row] % got_rate == 0 else None
             assert v == expect
         isa = inverse_permutation(sa)
         for tpos in range(0, 5000 // got_rate, max(1, 500 // got_rate)):
@@ -283,14 +276,22 @@ class TestSaSamples:
 
     def test_round_trip(self, coll):
         _, sa_iv = build_suffix_array(coll.text)
-        for order in ("text", "suffix"):
-            s = SaSamples.build(sa_iv, 2, order)
-            buf = io.BytesIO()
-            written = s.serialize(buf)
-            assert written == s.serialized_bytes() == len(buf.getvalue())
-            buf.seek(0)
-            back = SaSamples.deserialize(buf)
-            assert back.rate == 2 and back.order == order
-            assert [back.lookup(r) for r in range(8)] == [
-                s.lookup(r) for r in range(8)
-            ]
+        s = SaSamples.build(sa_iv, 2)
+        buf = io.BytesIO()
+        written = s.serialize(buf)
+        assert written == s.serialized_bytes() == len(buf.getvalue())
+        buf.seek(0)
+        back = SaSamples.deserialize(buf)
+        assert back.rate == 2
+        assert [back.lookup(r) for r in range(8)] == [
+            s.lookup(r) for r in range(8)
+        ]
+
+    def test_unknown_sampling_kind_rejected(self, coll):
+        _, sa_iv = build_suffix_array(coll.text)
+        buf = io.BytesIO()
+        SaSamples.build(sa_iv, 2).serialize(buf)
+        data = bytearray(buf.getvalue())
+        data[9] = 1  # header width byte: the sampling kind
+        with pytest.raises(FormatError):
+            SaSamples.deserialize(io.BytesIO(bytes(data)))

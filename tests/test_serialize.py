@@ -1,8 +1,28 @@
+import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from succix import serialize
+from succix.bits import BackedBits, BitVector, IntVector, RankSupport, SelectSupport
+from succix.compressed import RRRVector, SDVector
+from succix.construct import (
+    ByteAlphabet,
+    Collection,
+    DocIsaTable,
+    SaSamples,
+    WordAlphabet,
+    build_suffix_array,
+    read_alphabet,
+)
+from succix.csa import CsaPsi, CsaWt
+from succix.docindex import build_index, read_index
+from succix.rmq import RmaxSct, RmqSct
+from succix.sizereport import measure_serialized
+from succix.wavelet import WaveletTree, WaveletTreeHuff
+
+from example_data import DOCS
 
 
 ALL_MAGICS = [
@@ -74,3 +94,133 @@ def test_size_formulas():
 
 def test_format_error_is_a_value_error():
     assert issubclass(serialize.FormatError, ValueError)
+
+
+# ------------------------------------------------ frames of every structure
+
+def _small_structures():
+    """(name, structure, reader) for one small instance of every
+    persistent class; reader(stream, structure) loads a copy back."""
+    rng = np.random.default_rng(11)
+    bits = rng.random(5000) < 0.2
+    bv = BitVector(bits)
+    rank = RankSupport(bv)
+    docs = [bytes(rng.integers(97, 101, int(rng.integers(5, 30)))) for _ in range(9)]
+    coll = Collection(docs, ByteAlphabet.from_docs(docs))
+    _, sa_iv = build_suffix_array(coll.text)
+    text_iv = coll.packed_text()
+
+    def own(cls):
+        return lambda f, _: cls.deserialize(f)
+
+    cases = [
+        ("IntVector", IntVector(rng.integers(0, 1000, 300)), own(IntVector)),
+        ("BitVector", bv, own(BitVector)),
+        ("RankSupport", rank, lambda f, s: RankSupport.deserialize(f, s.bv)),
+        (
+            "SelectSupport",
+            SelectSupport(bv, rank, 0),
+            lambda f, s: SelectSupport.deserialize(f, s.bv, s.rank_support),
+        ),
+        ("BackedBits", BackedBits(bv, select1=True, select0=True), own(BackedBits)),
+        ("RRRVector", RRRVector(bits, block_size=31), own(RRRVector)),
+        ("SDVector", SDVector(np.flatnonzero(bits), 5000), own(SDVector)),
+        (
+            "WaveletTree",
+            WaveletTree(rng.integers(0, 300, 2000), backend="rrr"),
+            own(WaveletTree),
+        ),
+        (
+            "WaveletTreeHuff",
+            WaveletTreeHuff(rng.integers(0, 40, 2000)),
+            own(WaveletTreeHuff),
+        ),
+        ("ByteAlphabet", coll.alphabet, lambda f, _: read_alphabet(f)),
+        (
+            "WordAlphabet",
+            WordAlphabet(["éte", "a", "zz", "b"]),
+            lambda f, _: read_alphabet(f),
+        ),
+        (
+            "DocIsaTable",
+            DocIsaTable.build(sa_iv, coll.offsets, coll.lengths),
+            own(DocIsaTable),
+        ),
+        ("SaSamples", SaSamples.build(sa_iv, 4), own(SaSamples)),
+        (
+            "CsaPsi",
+            CsaPsi.build(text_iv, sa_iv, coll.sigma_total, 4),
+            own(CsaPsi),
+        ),
+        ("CsaWt", CsaWt.build(text_iv, sa_iv, coll.sigma_total, 4), own(CsaWt)),
+        ("RmqSct", RmqSct(rng.integers(0, 50, 3000)), own(RmqSct)),
+        ("RmaxSct", RmaxSct(rng.integers(0, 50, 3000)), own(RmaxSct)),
+    ]
+    for algo in ("sada", "greedy", "sort"):
+        cases.append(
+            (algo, build_index(algo, coll, sample_rate=4), lambda f, _: read_index(f))
+        )
+    return cases
+
+
+_STRUCTURES = _small_structures()
+
+
+@pytest.mark.parametrize(
+    "obj, reader", [c[1:] for c in _STRUCTURES], ids=[c[0] for c in _STRUCTURES]
+)
+def test_frame_sizes_agree_and_reload_is_byte_identical(obj, reader):
+    buf = io.BytesIO()
+    written = obj.serialize(buf)
+    data = buf.getvalue()
+    assert written == len(data)
+    assert obj.serialized_bytes() == len(data)
+    assert obj.size_tree().total_bytes == len(data)
+    assert measure_serialized(obj) == len(data)
+    stream = io.BytesIO(data)
+    back = reader(stream, obj)
+    assert stream.tell() == len(data)
+    again = io.BytesIO()
+    back.serialize(again)
+    assert again.getvalue() == data
+
+
+# Files written by the first version of this format for the worked example
+# (default build options); a layout change must bump FORMAT_VERSION.
+EXAMPLE_INDEX_SHA256 = {
+    "sada": "3e711a4a14247d90e670b8628bd2c7e848363d1f3c3fe409188e21ead39dede9",
+    "greedy": "1c13c8feff4a3b481602c847e33e246c7805280c0b7fac64671240e9b6e180bf",
+    "sort": "728e4dc13baa69a0709af24f22472c4509391347a8e1a8b3eba7599069168feb",
+}
+
+
+@pytest.mark.parametrize("algo", sorted(EXAMPLE_INDEX_SHA256))
+def test_example_index_bytes_are_pinned(algo):
+    coll = Collection(DOCS, ByteAlphabet.from_docs(DOCS))
+    buf = io.BytesIO()
+    build_index(algo, coll).serialize(buf)
+    digest = hashlib.sha256(buf.getvalue()).hexdigest()
+    assert digest == EXAMPLE_INDEX_SHA256[algo]
+
+
+def test_truncated_indexes_raise_format_error():
+    rng = np.random.default_rng(2024)
+    vocab = [f"w{i}" for i in range(40)]
+    corpora = {
+        "byte": [bytes(rng.integers(97, 103, int(rng.integers(10, 60)))) for _ in range(12)],
+        "word": [
+            [vocab[i] for i in rng.integers(0, 40, int(rng.integers(5, 25)))]
+            for _ in range(12)
+        ],
+    }
+    for mode, docs in corpora.items():
+        alphabet = (ByteAlphabet if mode == "byte" else WordAlphabet).from_docs(docs)
+        coll = Collection(docs, alphabet)
+        for algo in ("sada", "greedy", "sort"):
+            buf = io.BytesIO()
+            build_index(algo, coll).serialize(buf)
+            data = buf.getvalue()
+            cuts = rng.choice(len(data), size=min(len(data), 300), replace=False)
+            for cut in cuts:
+                with pytest.raises(serialize.FormatError):
+                    read_index(io.BytesIO(data[:cut]))
