@@ -92,21 +92,58 @@ def pack_ints(values, width):
     return words
 
 
-def gather_ints(words, width, positions):
-    """Extract packed values at arbitrary indices (vectorized)."""
-    positions = np.asarray(positions, dtype=np.int64)
-    if len(positions) == 0:
+def pack_fields(values, widths):
+    """Bit stream (an IntVector of width 1) of values of per-value widths
+    (0..64) packed back to back, value i at bit sum(widths[:i])."""
+    values = np.asarray(values, dtype=np.uint64)
+    widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), values.shape)
+    ends = np.cumsum(widths)
+    nbits = int(ends[-1]) if len(ends) else 0
+    nwords = serialize.payload_words(nbits, 1)
+    # two spare words take the spill of fields that end on the last word
+    words = np.zeros(nwords + 2, dtype=np.uint64)
+    starts = ends - widths
+    wi = starts >> 6
+    sh = (starts & 63).astype(np.uint64)
+    np.bitwise_or.at(words, wi, values << sh)
+    # the bits past the word's end; (v >> 1) >> 63 keeps sh == 0 at zero
+    np.bitwise_or.at(words, wi + 1, (values >> _U64(1)) >> (_U64(63) - sh))
+    return IntVector.from_words(words[:nwords], nbits, 1)
+
+
+def read_field(words, pos, width):
+    """The width-bit (0..64) value stored at bit offset pos."""
+    if not width:
+        return 0
+    wi, sh = pos >> 6, pos & 63
+    v = int(words[wi]) >> sh
+    if sh + width > 64:
+        v |= int(words[wi + 1]) << (64 - sh)
+    return v & ((1 << width) - 1)
+
+
+def gather_fields(words, starts, widths):
+    """Values of widths 1..64 at arbitrary bit offsets (vectorized)."""
+    starts = np.asarray(starts, dtype=np.int64)
+    if len(starts) == 0:
         return np.empty(0, dtype=np.uint64)
-    offs = positions * width
-    wi = offs >> 6
-    sh = (offs & 63).astype(np.uint64)
+    widths = np.asarray(widths, dtype=np.uint64)
+    wi = starts >> 6
+    sh = (starts & 63).astype(np.uint64)
     last = len(words) - 1
     lo = words[wi] >> sh
-    spill = (sh + np.uint64(width)) > 64
+    spill = (sh + widths) > 64
     hi_shift = (np.uint64(64) - sh) & np.uint64(63)
     hi = words[np.minimum(wi + 1, last)] << hi_shift
     out = np.where(spill, lo | hi, lo)
-    return out & mask_for(width)
+    return out & (_FULL64 >> (np.uint64(64) - widths))
+
+
+def gather_ints(words, width, positions):
+    """Extract packed values at arbitrary indices (vectorized)."""
+    return gather_fields(
+        words, np.asarray(positions, dtype=np.int64) * width, width
+    )
 
 
 def unpack_ints(words, width, start, count):
@@ -208,10 +245,9 @@ class IntVector(serialize.Framed):
     @classmethod
     def deserialize(cls, f):
         magic, _, width, n = serialize.read_header(f, cls._magic)
-        nwords = serialize.payload_words(n, width)
-        raw = f.read(8 * nwords)
-        if len(raw) != 8 * nwords:
-            raise serialize.FormatError("truncated payload")
+        if not 1 <= width <= 64:
+            raise serialize.FormatError(f"bad vector width {width}")
+        raw = serialize.read_exact(f, 8 * serialize.payload_words(n, width))
         words = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
         return cls.from_words(words, n, width)
 
@@ -348,9 +384,7 @@ class RankSupport(serialize.Framed):
     @classmethod
     def deserialize(cls, f, bv):
         _, _, _, length = serialize.read_header(f, serialize.MAGIC_RANK)
-        raw = f.read(8 * length)
-        if len(raw) != 8 * length:
-            raise serialize.FormatError("truncated rank directory")
+        raw = serialize.read_exact(f, 8 * length)
         dir_words = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
         rs = cls.__new__(cls)
         rs.bv = bv
@@ -456,6 +490,9 @@ class SelectSupport(serialize.Framed):
     @classmethod
     def deserialize(cls, f, bv, rank):
         _, _, value, count = serialize.read_header(f, serialize.MAGIC_SELECT)
+        ones = rank.total_ones
+        if (value, count) not in ((1, ones), (0, bv.n - ones)):
+            raise serialize.FormatError("select header does not match its bits")
         iv = IntVector.deserialize(f)
         ss = cls.__new__(cls)
         ss.bv = bv

@@ -11,13 +11,17 @@ unary in a plain bitvector with rank/select support.
 """
 
 import bisect
+import itertools
 import math
 import struct
 
 import numpy as np
 
 from . import serialize
-from .bits import BackedBits, BitVector, IntVector, width_for
+from .bits import (
+    BackedBits, BitVector, IntVector, gather_fields, pack_fields, read_field,
+    width_for,
+)
 from .monitor import register_allocation
 
 BLOCK_SIZES = (15, 31, 63)
@@ -138,18 +142,7 @@ class RRRVector(serialize.Framed):
         widths = _OFF_WIDTH[t][classes]
         starts = np.zeros(nblocks + 1, dtype=np.int64)
         np.cumsum(widths, out=starts[1:])
-        self.offset_bits = int(starts[-1])
-        nwords = (self.offset_bits + 63) // 64
-        words = np.zeros(nwords + 1, dtype=np.uint64)
-        if nblocks:
-            wi = starts[:-1] >> 6
-            sh = (starts[:-1] & 63).astype(np.uint64)
-            np.bitwise_or.at(words, wi, offs << sh)
-            spill = (starts[:-1] & 63) + widths > 64
-            if spill.any():
-                hi = offs[spill] >> (np.uint64(64) - sh[spill])
-                np.bitwise_or.at(words, wi[spill] + 1, hi)
-        self.offset_words = words[:nwords].copy()
+        self.offsets = pack_fields(offs, widths)
         nsb = -(-nblocks // self.SB_BLOCKS)
         cum_rank = np.zeros(nblocks + 1, dtype=np.int64)
         np.cumsum(classes, out=cum_rank[1:])
@@ -165,12 +158,7 @@ class RRRVector(serialize.Framed):
         return np.minimum(np.asarray(block_idx, dtype=np.int64) * self.t, self.n)
 
     def _finish(self):
-        nbytes = (
-            self.classes.nbytes
-            + self.offset_words.nbytes
-            + self.sb_ranks.nbytes
-            + self.sb_ptrs.nbytes
-        )
+        nbytes = self.classes.nbytes + self.sb_ranks.nbytes + self.sb_ptrs.nbytes
         register_allocation(self, nbytes, "rrr_vector")
 
     def __len__(self):
@@ -178,15 +166,6 @@ class RRRVector(serialize.Framed):
 
     def count_ones(self):
         return self.total_ones
-
-    def _read_offset(self, ptr, width):
-        if width == 0:
-            return 0
-        wi, sh = ptr >> 6, ptr & 63
-        v = int(self.offset_words[wi]) >> sh
-        if sh + width > 64:
-            v |= int(self.offset_words[wi + 1]) << (64 - sh)
-        return v & ((1 << width) - 1)
 
     def _block_value(self, b):
         """Decode block b from its superblock pointer."""
@@ -198,7 +177,7 @@ class RRRVector(serialize.Framed):
         if len(cls):
             ptr += int(widths[cls].sum())
         c = int(self.classes[b])
-        off = self._read_offset(ptr, int(widths[c]))
+        off = read_field(self.offsets.words, ptr, int(widths[c]))
         return decode_block(c, off, self.t)
 
     def access(self, i):
@@ -278,11 +257,9 @@ class RRRVector(serialize.Framed):
     def _frame(self):
         return serialize.Frame(serialize.MAGIC_RRR, self.t, self.n, b"", [
             ("classes", IntVector(self.classes, _CLASS_BITS[self.t])),
-            ("offsets", IntVector.from_words(
-                self.offset_words.copy(), self.offset_bits, 1
-            )),
+            ("offsets", self.offsets),
             ("pointers", IntVector(
-                self.sb_ptrs, width_for(max(self.offset_bits, 1))
+                self.sb_ptrs, width_for(max(self.offsets.n, 1))
             )),
             ("ranks", IntVector(
                 self.sb_ranks, width_for(max(self.total_ones, 1))
@@ -302,13 +279,16 @@ class RRRVector(serialize.Framed):
         off_iv = IntVector.deserialize(f)
         ptr_iv = IntVector.deserialize(f)
         rnk_iv = IntVector.deserialize(f)
+        nsb = -(-rv.nblocks // cls.SB_BLOCKS)
+        if (cls_iv.n, cls_iv.width, ptr_iv.n, rnk_iv.n) != (
+            rv.nblocks, _CLASS_BITS[t], nsb + 1, nsb + 1
+        ):
+            raise serialize.FormatError("RRR vectors do not match n and t")
         rv.classes = cls_iv.to_numpy().astype(np.uint8)
-        rv.offset_bits = off_iv.n
-        rv.offset_words = off_iv.words
+        rv.offsets = off_iv
         rv.sb_ptrs = ptr_iv.to_numpy().astype(np.int64)
         rv.sb_ranks = rnk_iv.to_numpy().astype(np.int64)
         rv.total_ones = int(rv.sb_ranks[-1]) if len(rv.sb_ranks) else 0
-        nsb = -(-rv.nblocks // cls.SB_BLOCKS)
         sb_idx = np.minimum(
             np.arange(nsb + 1, dtype=np.int64) * cls.SB_BLOCKS, rv.nblocks
         )
@@ -318,34 +298,34 @@ class RRRVector(serialize.Framed):
 
 
 class SDVector(serialize.Framed):
-    """Elias-Fano encoding of a sorted (non-decreasing) integer sequence.
+    """Elias-Fano encoding of a family of sorted integer lists over one
+    universe.
 
-    Supports select1 (the j-th stored value) and rank (how many stored
-    values are < i) over a conceptual bitvector of length `universe` with
-    a one at each stored value.
+    `bounds` holds the cumulative list sizes: list l is the non-decreasing
+    run values[bounds[l]:bounds[l+1]], and a single list has bounds
+    [0, m]. Each list has its own low width, as if encoded alone, but all
+    lows share one field stream and all high parts one bitvector with one
+    set of rank/select directories; the per-list widths and offsets are
+    derived from bounds and universe. select(j, l) and rank(i, l) answer
+    within list l, over a conceptual bitvector of length `universe` with a
+    one at each of its values.
     """
 
     _tag = "sd"
 
-    def __init__(self, values, universe):
+    def __init__(self, values, universe, bounds=None):
         values = np.asarray(values, dtype=np.int64)
-        m = len(values)
-        n = int(universe)
-        if m:
-            if int(values.min()) < 0 or int(values.max()) >= n:
-                raise ValueError("value outside universe")
-            if (np.diff(values) < 0).any():
-                raise ValueError("values must be non-decreasing")
-        self.universe = n
-        self.m = m
-        self.low_width = self._width(n, m)
-        w = self.low_width
-        self.lows = IntVector(
-            (values & ((1 << w) - 1)).astype(np.uint64), w
-        )
-        n_buckets = ((n - 1) >> w) + 1 if n else 1
-        hi_pos = (values >> w) + np.arange(m, dtype=np.int64)
-        high_bits = BitVector.from_positions(hi_pos, n_buckets + m)
+        self.universe = n = int(universe)
+        self._layout([0, len(values)] if bounds is None else bounds, len(values))
+        lid, j, w = self._per_value()
+        if len(values) and (int(values.min()) < 0 or int(values.max()) >= n):
+            raise ValueError("value outside universe")
+        # lists are sorted exactly when (list id, value) pairs are
+        if (np.diff(values + lid * n) < 0).any():
+            raise ValueError("values must be non-decreasing within a list")
+        self.lows = pack_fields(values & ((1 << w) - 1), w)
+        hi_pos = (values >> w) + j + np.asarray(self._hi_offs[:-1])[lid]
+        high_bits = BitVector.from_positions(hi_pos, self._hi_offs[-1])
         self.high = BackedBits(high_bits, select1=True, select0=True)
 
     @staticmethod
@@ -354,70 +334,115 @@ class SDVector(serialize.Framed):
             return 1
         return (n // m).bit_length() - 1
 
+    def _layout(self, bounds, m):
+        """Per-list low widths, and each list's first bit in the low stream
+        and in the high bits, from the list sizes and the universe. Bounds
+        that do not rise from 0 to m raise FormatError (a ValueError)."""
+        bounds = [int(b) for b in bounds]
+        if len(bounds) < 2 or bounds[0] or bounds[-1] != m or any(
+            a > b for a, b in zip(bounds, bounds[1:])
+        ):
+            raise serialize.FormatError("list bounds must rise from 0 to m")
+        self.bounds = bounds
+        self.m = m
+        sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+        self.low_widths = [self._width(self.universe, m) for m in sizes]
+        layout = list(zip(sizes, self.low_widths))
+        self._low_offs = list(itertools.accumulate(
+            (m * w for m, w in layout), initial=0
+        ))
+        # a list's high part is its m ones and one zero per bucket
+        top = max(self.universe - 1, 0)
+        self._hi_offs = list(itertools.accumulate(
+            (m + (top >> w) + 1 for m, w in layout), initial=0
+        ))
+
+    def _per_value(self):
+        """List id, 0-based rank within the list and low width of every
+        value."""
+        starts = np.asarray(self.bounds[:-1], dtype=np.int64)
+        lid = np.repeat(np.arange(len(starts)), np.diff(self.bounds))
+        j = np.arange(self.m, dtype=np.int64) - starts[lid]
+        return lid, j, np.asarray(self.low_widths, dtype=np.int64)[lid]
+
     def __len__(self):
         return self.universe
 
     def count_ones(self):
         return self.m
 
-    def select(self, j):
-        """The j-th (1-based) stored value."""
-        if not 1 <= j <= self.m:
-            raise ValueError(f"select index {j} out of range (m={self.m})")
-        p = self.high.select(j)
-        return ((p - j + 1) << self.low_width) | self.lows[j - 1]
+    def select(self, j, l=0):
+        """The j-th (1-based) value of list l."""
+        j = int(j)
+        first = self.bounds[l]
+        if not 1 <= j <= self.bounds[l + 1] - first:
+            raise ValueError(f"select index {j} out of range in list {l}")
+        w = self.low_widths[l]
+        p = self.high.select(first + j) - self._hi_offs[l]
+        low = read_field(self.lows.words, self._low_offs[l] + (j - 1) * w, w)
+        return ((p - j + 1) << w) | low
 
-    def rank(self, i):
-        """Number of stored values < i."""
+    def rank(self, i, l=0):
+        """Number of values < i in list l."""
         i = int(i)
-        if i <= 0 or self.m == 0:
+        first = self.bounds[l]
+        m = self.bounds[l + 1] - first
+        if i <= 0 or m == 0:
             return 0
-        if i > self.universe:
-            i = self.universe
-        w = self.low_width
+        i = min(i, self.universe)
+        w = self.low_widths[l]
+        hi = self._hi_offs[l]
         b = i >> w
-        j = self.high.select0(b) - b + 1 if b else 0
+        # the b-th zero of list l ends its values below b << w
+        j = self.high.select0(hi - first + b) - hi - b + 1 if b else 0
         low_i = i & ((1 << w) - 1)
         if low_i == 0:
             return j
-        bits = self.high.bits
-        hlen = bits.n
-        while j < self.m and b + j < hlen and bits[b + j] == 1:
-            if self.lows[j] >= low_i:
+        high_words = self.high.bits.words
+        low_words = self.lows.words
+        pos, lo = hi + b + j, self._low_offs[l] + j * w
+        while j < m and (int(high_words[pos >> 6]) >> (pos & 63)) & 1:
+            if read_field(low_words, lo, w) >= low_i:
                 break
-            j += 1
+            j, pos, lo = j + 1, pos + 1, lo + w
         return j
 
-    def access(self, i):
-        """1 when some stored value equals i (conceptual bitvector read)."""
-        return 1 if self.rank(i + 1) - self.rank(i) > 0 else 0
+    def access(self, i, l=0):
+        """1 when list l holds the value i (conceptual bitvector read)."""
+        return 1 if self.rank(i + 1, l) - self.rank(i, l) > 0 else 0
 
     def to_values(self):
-        if self.m == 0:
-            return np.empty(0, dtype=np.int64)
+        """All values, list after list."""
+        lid, j, w = self._per_value()
         ones = np.flatnonzero(self.high.bits.to_bool())
-        j = np.arange(self.m, dtype=np.int64)
-        return ((ones - j) << self.low_width) | self.lows.to_numpy().astype(
-            np.int64
+        buckets = ones - np.asarray(self._hi_offs[:-1], dtype=np.int64)[lid] - j
+        lows = gather_fields(
+            self.lows.words, np.asarray(self._low_offs[:-1])[lid] + j * w, w
         )
+        return (buckets << w) | lows.astype(np.int64)
 
     def _frame(self):
         return serialize.Frame(
-            serialize.MAGIC_SD, self.low_width, self.m,
-            struct.pack("<Q", self.universe),
-            [("lows", self.lows), ("high", self.high)],
+            serialize.MAGIC_SD, 0, self.m, struct.pack("<Q", self.universe),
+            [
+                ("bounds", IntVector(self.bounds, width_for(max(self.m, 1)))),
+                ("lows", self.lows),
+                ("high", self.high),
+            ],
         )
 
     @classmethod
     def deserialize(cls, f):
-        _, _, w, m = serialize.read_header(f, serialize.MAGIC_SD)
-        (universe,) = serialize.read_fields(f, "<Q")
+        _, _, _, m = serialize.read_header(f, serialize.MAGIC_SD)
         sd = cls.__new__(cls)
-        sd.universe = universe
-        sd.m = m
-        sd.low_width = w
+        (sd.universe,) = serialize.read_fields(f, "<Q")
+        sd._layout(IntVector.deserialize(f).to_numpy().tolist(), m)
         sd.lows = IntVector.deserialize(f)
         sd.high = BackedBits.deserialize(f)
+        if (sd.lows.n, len(sd.high), sd.high.count_ones()) != (
+            sd._low_offs[-1], sd._hi_offs[-1], m
+        ):
+            raise serialize.FormatError("Elias-Fano payload does not match bounds")
         return sd
 
 

@@ -11,13 +11,14 @@ by the memory monitor) as the carried state; vectorized numpy scratch
 inside a kernel is transient and intentionally untracked.
 """
 
+import itertools
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from . import serialize
-from .bits import IntVector, gather_ints, pack_ints, width_for
+from .bits import IntVector, gather_ints, pack_fields, pack_ints, read_field, width_for
 from .compressed import SDVector
 
 GLOBAL_TERMINATOR = 0
@@ -132,15 +133,12 @@ class WordAlphabet(serialize.Framed):
 def read_alphabet(f):
     _, _, kind, count = serialize.read_header(f, serialize.MAGIC_ALPHABET)
     if kind == 0:
-        raw = f.read(count)
-        if len(raw) != count:
-            raise serialize.FormatError("truncated alphabet")
+        raw = serialize.read_exact(f, count)
+        if len(set(raw)) != count:
+            raise serialize.FormatError("duplicate byte in alphabet")
         return ByteAlphabet(list(raw))
     (nbytes,) = serialize.read_fields(f, "<Q")
-    raw = f.read(nbytes)
-    if len(raw) != nbytes:
-        raise serialize.FormatError("truncated alphabet")
-    blob = raw.decode("utf-8")
+    blob = serialize.read_exact(f, nbytes).decode("utf-8")
     tokens = blob.split("\n") if blob else []
     if len(tokens) != count:
         raise serialize.FormatError("token count mismatch")
@@ -294,23 +292,20 @@ def bwt_from_sa(text_iv, sa_iv, chunk=_CHUNK):
 
 
 def psi_from_bwt(bwt_iv, sigma_total):
-    """Per-symbol Psi lists as SDVectors, plus the CNT table.
+    """The Psi permutation as one SDVector of per-symbol lists, whose
+    bounds are the CNT table.
 
     Psi as a permutation is the stable argsort of the BWT; the slice of
     rows belonging to symbol c is strictly increasing, which is exactly
     what Elias-Fano wants.
     """
-    n = bwt_iv.n
     bwt = bwt_iv.to_numpy().astype(np.int64)
     psi = np.argsort(bwt, kind="stable")
     hist = np.bincount(bwt, minlength=sigma_total)
     del bwt
     cnt = np.zeros(sigma_total + 1, dtype=np.int64)
     np.cumsum(hist, out=cnt[1:])
-    sds = [
-        SDVector(psi[cnt[c] : cnt[c + 1]], n) for c in range(sigma_total)
-    ]
-    return sds, cnt
+    return SDVector(psi, bwt_iv.n, cnt)
 
 
 def d_from_sa(sa_iv, sharp_positions, n_docs, chunk=_CHUNK):
@@ -346,12 +341,24 @@ def prev_next_occurrence(d):
 
 
 class DocIsaTable(serialize.Framed):
-    """Per-document inverse suffix arrays over doc + local terminator."""
+    """Per-document inverse suffix arrays over doc + local terminator.
+
+    One field stream holds them all, document after document: the ln+1
+    values of a document of length ln at width width_for(ln). Widths and
+    offsets are derived from the lengths vector.
+    """
 
     _tag = "doc_isa"
 
-    def __init__(self, tables):
-        self.tables = tables
+    def __init__(self, lengths, stream):
+        self.lengths = lengths
+        self.stream = stream
+        self._lens = lengths.to_numpy().tolist()
+        self._widths = [width_for(ln) for ln in self._lens]
+        self._offs = list(itertools.accumulate(
+            ((ln + 1) * w for ln, w in zip(self._lens, self._widths)),
+            initial=0,
+        ))
 
     @classmethod
     def build(cls, sa_iv, offsets, lengths):
@@ -378,27 +385,37 @@ class DocIsaTable(serialize.Framed):
         local_rank = np.empty(len(sa), dtype=np.int64)
         local_rank[sa[by_doc]] = np.arange(len(sa)) - np.repeat(first, sizes)
         del sa, doc_of, doc, by_doc
-        return cls([
-            IntVector(local_rank[off : off + ln + 1], width_for(max(int(ln), 1)))
-            for off, ln in zip(offsets, lengths)
-        ])
+        # documents sit back to back in the text, the global terminator last
+        widths = np.repeat([width_for(ln) for ln in lengths.tolist()], lengths + 1)
+        return cls(
+            IntVector(lengths, width_for(int(lengths.max(initial=0)))),
+            pack_fields(local_rank[:-1], widths),
+        )
 
     def __len__(self):
-        return len(self.tables)
+        return len(self._lens)
 
     def get(self, d, local_pos):
-        return self.tables[d][local_pos]
+        local_pos = int(local_pos)
+        if not 0 <= local_pos <= self._lens[d]:
+            raise IndexError("local position out of range")
+        w = self._widths[d]
+        return read_field(self.stream.words, self._offs[d] + local_pos * w, w)
 
     def _frame(self):
         return serialize.Frame(
-            serialize.MAGIC_DOCISA, 0, len(self.tables), b"",
-            [("tables", self.tables)],
+            serialize.MAGIC_DOCISA, 0, len(self), b"",
+            [("lengths", self.lengths), ("tables", self.stream)],
         )
 
     @classmethod
     def deserialize(cls, f):
         _, _, _, count = serialize.read_header(f, serialize.MAGIC_DOCISA)
-        return cls([IntVector.deserialize(f) for _ in range(count)])
+        lengths = IntVector.deserialize(f)
+        table = cls(lengths, IntVector.deserialize(f))
+        if (lengths.n, table.stream.n) != (count, table._offs[-1]):
+            raise serialize.FormatError("ISA stream does not match lengths")
+        return table
 
 
 class SaSamples(serialize.Framed):

@@ -4,8 +4,8 @@ Two interchangeable flavors, both answering backward search, suffix
 array access through sampled values, and text extraction:
 
 * CsaPsi keeps one Elias-Fano list per symbol holding that symbol's
-  slice of the Psi permutation. Pattern steps are two rank calls; text
-  walks forward through Psi.
+  slice of the Psi permutation, all lists in one SDVector. Pattern
+  steps are two rank calls; text walks forward through Psi.
 * CsaWt keeps a wavelet tree over the BWT. Pattern steps are two
   wavelet ranks; text walks backward through LF.
 
@@ -78,45 +78,35 @@ class _CsaBase(serialize.Framed):
                 f"extract({start}, {length}) outside text of length {self.n}"
             )
 
-    def _frame_with(self, magic, name, body):
-        """Frame shared by both flavors: sigma, counts, body, samples."""
-        return serialize.Frame(
-            magic, 0, self.n, _U32.pack(self.sigma_total),
-            [
-                ("counts", IntVector(self.cnt, width_for(max(self.n, 1)))),
-                (name, body),
-                ("sa_samples", self.samples),
-            ],
-        )
-
 
 class CsaPsi(_CsaBase):
-    """Compressed suffix array backed by per-symbol Psi lists."""
+    """Compressed suffix array backed by the per-symbol Psi lists, held as
+    one SDVector whose list bounds are the CNT table."""
 
     _tag = "csa_psi"
 
-    def __init__(self, sds, cnt, samples, n):
-        self.sds = sds
-        self.cnt = np.asarray(cnt, dtype=np.int64)
+    def __init__(self, psi, samples, n):
+        self.psi_lists = psi
+        self.cnt = np.asarray(psi.bounds, dtype=np.int64)
         self.samples = samples
         self.n = n
 
     @classmethod
     def build(cls, text_iv, sa_iv, sigma_total, sample_rate):
         bwt_iv = bwt_from_sa(text_iv, sa_iv)
-        sds, cnt = psi_from_bwt(bwt_iv, sigma_total)
+        psi = psi_from_bwt(bwt_iv, sigma_total)
         samples = SaSamples.build(sa_iv, sample_rate)
-        return cls(sds, cnt, samples, text_iv.n)
+        return cls(psi, samples, text_iv.n)
 
     def psi(self, i):
         """Row of the suffix one position later in the text."""
         c = self._symbol_at_row(i)
-        return self.sds[c].select(i - int(self.cnt[c]) + 1)
+        return self.psi_lists.select(i - int(self.cnt[c]) + 1, c)
 
     def _interval_step(self, c, sp, ep):
-        sd = self.sds[c]
         base = int(self.cnt[c])
-        return base + sd.rank(sp), base + sd.rank(ep + 1) - 1
+        rank = self.psi_lists.rank
+        return base + rank(sp, c), base + rank(ep + 1, c) - 1
 
     def sa_access(self, i):
         """SA[i], by walking Psi forward to a sampled row."""
@@ -144,16 +134,18 @@ class CsaPsi(_CsaBase):
         return out
 
     def _frame(self):
-        return self._frame_with(serialize.MAGIC_CSA_PSI, "psi_lists", self.sds)
+        return serialize.Frame(
+            serialize.MAGIC_CSA_PSI, 0, self.n, b"",
+            [("psi_lists", self.psi_lists), ("sa_samples", self.samples)],
+        )
 
     @classmethod
     def deserialize(cls, f):
         _, _, _, n = serialize.read_header(f, serialize.MAGIC_CSA_PSI)
-        (sigma,) = serialize.read_fields(f, _U32.format)
-        cnt = IntVector.deserialize(f).to_numpy().astype(np.int64)
-        sds = [SDVector.deserialize(f) for _ in range(sigma)]
-        samples = SaSamples.deserialize(f)
-        return cls(sds, cnt, samples, n)
+        psi = SDVector.deserialize(f)
+        if (psi.m, len(psi)) != (n, n):
+            raise serialize.FormatError("Psi lists do not cover the text")
+        return cls(psi, SaSamples.deserialize(f), n)
 
 
 class CsaWt(_CsaBase):
@@ -224,7 +216,14 @@ class CsaWt(_CsaBase):
         return out
 
     def _frame(self):
-        return self._frame_with(serialize.MAGIC_CSA_WT, "bwt_wavelet", self.wt)
+        return serialize.Frame(
+            serialize.MAGIC_CSA_WT, 0, self.n, _U32.pack(self.sigma_total),
+            [
+                ("counts", IntVector(self.cnt, width_for(max(self.n, 1)))),
+                ("bwt_wavelet", self.wt),
+                ("sa_samples", self.samples),
+            ],
+        )
 
     @classmethod
     def deserialize(cls, f):

@@ -357,10 +357,10 @@ def build_sada(collection, sample_rate=32, temp_dir=None):
         bwt_iv = bwt_from_sa(text_iv, sa_iv)
         _dump_temp(temp_dir, "bwt.iv", bwt_iv)
     with mm.phase("psi"):
-        sds, cnt = psi_from_bwt(bwt_iv, collection.sigma_total)
+        psi = psi_from_bwt(bwt_iv, collection.sigma_total)
         del bwt_iv
         samples = SaSamples.build(sa_iv, sample_rate)
-        csa = CsaPsi(sds, cnt, samples, n)
+        csa = CsaPsi(psi, samples, n)
     with mm.phase("doc_isa"):
         doc_isa = DocIsaTable.build(
             sa_iv, collection.offsets, collection.lengths

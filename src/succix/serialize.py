@@ -10,11 +10,14 @@ A persistent class derives from Framed and declares its frame once, in
 _frame(): header width and length, the fixed fields as one bytes-like
 object, and the components as an ordered list of (name, component) pairs.
 serialize, serialized_bytes and size_tree all walk that one list, so the
-size report cannot disagree with the file. A component that is a list of
-structures is written member by member and reported as one size leaf.
-Readers stay hand-written per class, because what follows a header
-depends on the data; they read fixed fields through read_fields, which
-turns a short read into FormatError.
+size report cannot disagree with the file. Every component is one
+structure: a structure made of many small ones (the per-symbol Psi lists,
+the per-document ISA tables) packs them into one frame, so each frame has
+a fixed number of components. Readers stay hand-written per class,
+because what follows a header depends on the data; they read fixed fields
+through read_fields and header-counted payloads through read_exact, which
+turn a short stream into FormatError, and check the layout they derive
+against the payload sizes they read.
 """
 
 import struct
@@ -22,7 +25,7 @@ from typing import NamedTuple
 
 from .sizereport import SizeTree
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 HEADER_BYTES = 18
 
 MAGIC_INTVEC = b"sxintvec"
@@ -80,6 +83,17 @@ def read_fields(f, fmt):
     return struct.unpack(fmt, raw)
 
 
+def read_exact(f, nbytes):
+    """Read nbytes that a header counted; a count past the end of the
+    (seekable) stream raises FormatError before anything is read."""
+    pos = f.tell()
+    left = f.seek(0, 2) - pos
+    f.seek(pos)
+    if nbytes > left:
+        raise FormatError(f"frame needs {nbytes} bytes, {left} left")
+    return f.read(nbytes)
+
+
 def peek_magic(f):
     pos = f.tell()
     raw = f.read(8)
@@ -125,28 +139,19 @@ class Framed:
         f.write(fixed)
         written += len(fixed)
         for _, part in frame.parts:
-            for member in part if isinstance(part, list) else (part,):
-                written += member.serialize(f)
+            written += part.serialize(f)
         return written
 
     def serialized_bytes(self):
         frame = self._frame()
         return HEADER_BYTES + memoryview(frame.fixed).nbytes + sum(
-            member.serialized_bytes()
-            for _, part in frame.parts
-            for member in (part if isinstance(part, list) else (part,))
+            part.serialized_bytes() for _, part in frame.parts
         )
 
     def size_tree(self, name=None):
         frame = self._frame()
-        children = [
-            SizeTree(pname, sum(m.serialized_bytes() for m in part))
-            if isinstance(part, list)
-            else part.size_tree(pname)
-            for pname, part in frame.parts
-        ]
         return SizeTree(
             name or self._tag,
             HEADER_BYTES + memoryview(frame.fixed).nbytes,
-            children,
+            [part.size_tree(pname) for pname, part in frame.parts],
         )

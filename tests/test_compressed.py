@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from succix import serialize
-from succix.bits import BackedBits, BitVector
+from succix.bits import BackedBits, BitVector, read_field
 from succix.compressed import (
     RRRVector,
     SDVector,
@@ -125,8 +125,8 @@ class TestSDVector:
         # values {2, 5, 12} in universe 16: low width 2, lows [2, 1, 0],
         # high bits 1010010
         sd = SDVector([2, 5, 12], 16)
-        assert sd.low_width == 2
-        assert list(sd.lows.to_numpy()) == [2, 1, 0]
+        assert sd.low_widths == [2]
+        assert [read_field(sd.lows.words, 2 * j, 2) for j in range(3)] == [2, 1, 0]
         assert [sd.high.bits[i] for i in range(7)] == [1, 0, 1, 0, 0, 1, 0]
         assert [sd.select(j) for j in (1, 2, 3)] == [2, 5, 12]
         assert sd.rank(6) == 2
@@ -147,7 +147,7 @@ class TestSDVector:
         assert one.select(1) == 7
         assert one.rank(8) == 1
         dense = SDVector(list(range(10)), 10)
-        assert dense.low_width == 1
+        assert dense.low_widths == [1]
         assert [dense.select(j) for j in range(1, 11)] == list(range(10))
 
     def test_duplicates_allowed(self):
@@ -161,18 +161,54 @@ class TestSDVector:
             SDVector([5], 5)
         with pytest.raises(ValueError):
             SDVector([3, 1], 5)
+        # list bounds must rise from 0 to m, and each list be sorted
+        for bounds in ([0, 2, 1, 3], [0, 2], [1, 3], [0, 1, 3, 4]):
+            with pytest.raises(ValueError):
+                SDVector([1, 5, 3, 4], 10, bounds)
+        sd = SDVector([1, 5, 3, 4], 10, [0, 2, 4])
+        assert [sd.select(1, 1), sd.select(2, 1)] == [3, 4]
 
-    @pytest.mark.parametrize("m,n", [(10, 1000), (500, 1000), (3000, 1_000_000)])
-    def test_randomized(self, m, n):
-        rng = np.random.default_rng(m)
-        values = np.sort(rng.choice(n, size=m, replace=False))
-        sd = SDVector(values, n)
-        assert np.array_equal(sd.to_values(), values)
-        for j in rng.integers(1, m + 1, size=100):
-            assert sd.select(int(j)) == int(values[j - 1])
-        probes = np.concatenate([rng.integers(0, n + 1, size=200), values[:50]])
-        for i in probes:
-            assert sd.rank(int(i)) == int(np.searchsorted(values, i, "left"))
+    @pytest.mark.parametrize(
+        "sizes,n",
+        [
+            (10, 1000),
+            (500, 1000),
+            (3000, 1_000_000),
+            ((0, 1, 40, 0, 7, 300, 1), 1000),
+            ((1, 2000, 0, 1000, 1), 1_000_000),
+        ],
+        ids=["10-1000", "500-1000", "3000-1000000", "7lists-1000", "5lists-1000000"],
+    )
+    def test_randomized(self, sizes, n):
+        """Per list: layout bit for bit as the oracle encodes it alone,
+        select against the values and rank against np.searchsorted."""
+        rng = np.random.default_rng(sum(np.atleast_1d(sizes)))
+        lists = [
+            np.sort(rng.choice(n, size=m, replace=False))
+            for m in np.atleast_1d(sizes)
+        ]
+        bounds = np.cumsum([0] + [len(v) for v in lists])
+        sd = SDVector(np.concatenate(lists), n, bounds)
+        assert np.array_equal(sd.to_values(), np.concatenate(lists))
+        high = sd.high.bits.to_bool()
+        low_at = high_at = 0
+        for l, values in enumerate(lists):
+            m = len(values)
+            w, lows, high_bits = oracles.elias_fano_positions(values.tolist(), n)
+            assert sd.low_widths[l] == w
+            got = [read_field(sd.lows.words, low_at + j * w, w) for j in range(m)]
+            assert got == lows
+            assert high[high_at : high_at + len(high_bits)].tolist() == high_bits
+            low_at += m * w
+            high_at += len(high_bits)
+            for j in rng.integers(1, m + 1, size=100 if m else 0):
+                assert sd.select(int(j), l) == int(values[j - 1])
+            with pytest.raises(ValueError):
+                sd.select(m + 1, l)
+            probes = np.concatenate([rng.integers(0, n + 1, size=200), values[:50]])
+            for i in probes:
+                assert sd.rank(int(i), l) == int(np.searchsorted(values, i, "left"))
+        assert (low_at, high_at) == (sd.lows.n, len(high))
 
     def test_space_beats_plain_for_sparse(self):
         n = 1_000_000
@@ -184,15 +220,19 @@ class TestSDVector:
     def test_round_trip(self):
         rng = np.random.default_rng(23)
         values = np.sort(rng.choice(10_000, size=700, replace=False))
-        sd = SDVector(values, 10_000)
-        buf = io.BytesIO()
-        written = sd.serialize(buf)
-        assert written == sd.serialized_bytes() == len(buf.getvalue())
-        buf.seek(0)
-        sd2 = SDVector.deserialize(buf)
-        assert sd2.universe == 10_000 and sd2.m == 700
-        assert np.array_equal(sd2.to_values(), values)
-        assert sd2.rank(5000) == sd.rank(5000)
+        # one list, then the same values as lists of 0, 1, 300, 0 and 399
+        for bounds in (None, [0, 0, 1, 301, 301, 700]):
+            sd = SDVector(values, 10_000, bounds)
+            buf = io.BytesIO()
+            written = sd.serialize(buf)
+            assert written == sd.serialized_bytes() == len(buf.getvalue())
+            buf.seek(0)
+            sd2 = SDVector.deserialize(buf)
+            assert sd2.universe == 10_000 and sd2.m == 700
+            assert sd2.bounds == sd.bounds
+            assert np.array_equal(sd2.to_values(), values)
+            for l in range(len(sd.bounds) - 1):
+                assert sd2.rank(5000, l) == sd.rank(5000, l)
 
 
 class TestBackendFactory:

@@ -105,6 +105,8 @@ def _small_structures():
     bits = rng.random(5000) < 0.2
     bv = BitVector(bits)
     rank = RankSupport(bv)
+    ones = np.flatnonzero(bits)
+    half = int(np.searchsorted(ones, 2500))
     docs = [bytes(rng.integers(97, 101, int(rng.integers(5, 30)))) for _ in range(9)]
     coll = Collection(docs, ByteAlphabet.from_docs(docs))
     _, sa_iv = build_suffix_array(coll.text)
@@ -124,7 +126,15 @@ def _small_structures():
         ),
         ("BackedBits", BackedBits(bv, select1=True, select0=True), own(BackedBits)),
         ("RRRVector", RRRVector(bits, block_size=31), own(RRRVector)),
-        ("SDVector", SDVector(np.flatnonzero(bits), 5000), own(SDVector)),
+        ("SDVector", SDVector(ones, 5000), own(SDVector)),
+        # four lists: empty, the ones below 2500, the single value 7, the rest
+        (
+            "SDVector-lists",
+            SDVector(
+                np.insert(ones, half, 7), 5000, [0, 0, half, half + 1, len(ones) + 1]
+            ),
+            own(SDVector),
+        ),
         (
             "WaveletTree",
             WaveletTree(rng.integers(0, 300, 2000), backend="rrr"),
@@ -185,12 +195,12 @@ def test_frame_sizes_agree_and_reload_is_byte_identical(obj, reader):
     assert again.getvalue() == data
 
 
-# Files written by the first version of this format for the worked example
+# Files written by version 2 of this format for the worked example
 # (default build options); a layout change must bump FORMAT_VERSION.
 EXAMPLE_INDEX_SHA256 = {
-    "sada": "3e711a4a14247d90e670b8628bd2c7e848363d1f3c3fe409188e21ead39dede9",
-    "greedy": "1c13c8feff4a3b481602c847e33e246c7805280c0b7fac64671240e9b6e180bf",
-    "sort": "728e4dc13baa69a0709af24f22472c4509391347a8e1a8b3eba7599069168feb",
+    "sada": "31c59c95dd2842882834f86f98bda77394113d749509e5481e51b09048fce5c0",
+    "greedy": "e27c1fb1ae08bc79e4d2dd67bb19618c2c107450309fd8a48504607a9d5d91ec",
+    "sort": "0790fa4a4f3255ed5e3ac6ce39a76ac7325c900167ca700c139de84e4e66c7a5",
 }
 
 
@@ -203,8 +213,8 @@ def test_example_index_bytes_are_pinned(algo):
     assert digest == EXAMPLE_INDEX_SHA256[algo]
 
 
-def test_truncated_indexes_raise_format_error():
-    rng = np.random.default_rng(2024)
+def _small_indexes(rng):
+    """(mode, algo, index, its bytes) for small byte and word collections."""
     vocab = [f"w{i}" for i in range(40)]
     corpora = {
         "byte": [bytes(rng.integers(97, 103, int(rng.integers(10, 60)))) for _ in range(12)],
@@ -217,10 +227,52 @@ def test_truncated_indexes_raise_format_error():
         alphabet = (ByteAlphabet if mode == "byte" else WordAlphabet).from_docs(docs)
         coll = Collection(docs, alphabet)
         for algo in ("sada", "greedy", "sort"):
+            index = build_index(algo, coll)
             buf = io.BytesIO()
-            build_index(algo, coll).serialize(buf)
-            data = buf.getvalue()
-            cuts = rng.choice(len(data), size=min(len(data), 300), replace=False)
-            for cut in cuts:
-                with pytest.raises(serialize.FormatError):
-                    read_index(io.BytesIO(data[:cut]))
+            index.serialize(buf)
+            yield mode, algo, index, buf.getvalue()
+
+
+def test_truncated_indexes_raise_format_error():
+    rng = np.random.default_rng(2024)
+    for _, _, _, data in _small_indexes(rng):
+        cuts = rng.choice(len(data), size=min(len(data), 300), replace=False)
+        for cut in cuts:
+            with pytest.raises(serialize.FormatError):
+                read_index(io.BytesIO(data[:cut]))
+
+
+def _header_offsets(obj, at=0):
+    """Offset of every frame header in obj's serialization, walking the
+    frame declarations."""
+    frame = obj._frame()
+    offsets = [at]
+    at += serialize.HEADER_BYTES + memoryview(frame.fixed).nbytes
+    for _, part in frame.parts:
+        offsets += _header_offsets(part, at)
+        at += part.serialized_bytes()
+    return offsets
+
+
+def test_header_mutations_load_or_raise_format_error():
+    """A width or length byte of any frame header set to 0, 0x41 or 0xFF
+    either loads or raises FormatError."""
+    rng = np.random.default_rng(2025)
+    for _, _, index, data in _small_indexes(rng):
+        offsets = _header_offsets(index)
+        assert all(
+            data[p : p + 8] in ALL_MAGICS and data[p + 8] == serialize.FORMAT_VERSION
+            for p in offsets
+        )
+        # byte 9 of a header is its width, bytes 10..17 its length
+        sites = [
+            (p + k, v) for p in offsets for k in range(9, 18) for v in (0, 0x41, 0xFF)
+        ]
+        for i in rng.choice(len(sites), size=min(len(sites), 200), replace=False):
+            pos, value = sites[i]
+            bad = bytearray(data)
+            bad[pos] = value
+            try:
+                read_index(io.BytesIO(bytes(bad)))
+            except serialize.FormatError:
+                pass
