@@ -8,12 +8,13 @@ Layout notes that the rest of the library relies on:
     five 11-bit relative counts at 384-bit offsets. Overhead is 128 bits
     per 2048, i.e. 6.25% of n, which stays under the 8% budget.
   * SelectSupport samples the position of every 4096th target bit and
-    narrows with a binary search over the rank directory.
+    narrows with a binary search over per-superblock target counts.
   * rank(i) counts target bits in [0, i); select(j) is 1-indexed and
     returns a 0-based position, so select(rank(i)+1) >= i wherever defined.
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -24,15 +25,13 @@ WORD = 64
 _U64 = np.uint64
 _FULL64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-# k-th (1-based) set bit position within a byte, 255 where absent.
-_SELECT_IN_BYTE = np.full((256, 8), 255, dtype=np.uint8)
-for _b in range(256):
-    _k = 0
-    for _j in range(8):
-        if (_b >> _j) & 1:
-            _SELECT_IN_BYTE[_b, _k] = _j
-            _k += 1
-del _b, _j, _k
+# Position of the k-th (1-based) set bit of byte b at index 8 * b + k - 1,
+# 255 where absent.
+_SELECT_IN_BYTE = bytes(
+    ([j for j in range(8) if b >> j & 1] + [255] * 8)[k]
+    for b in range(256)
+    for k in range(8)
+)
 
 
 def width_for(max_value):
@@ -403,8 +402,10 @@ class RankSupport(serialize.Framed):
 class SelectSupport(serialize.Framed):
     """Sampled select over a BitVector for one bits or zero bits.
 
-    Stores the position of every 4096th target bit; queries binary-search
-    the rank directory between neighbouring samples, then scan words.
+    Stores the position of every 4096th target bit. A query bisects the
+    per-superblock target counts between the superblocks of its two
+    neighbouring samples, then steps through the sub-block counts, the
+    words, and the word's 32-, 16- and 8-bit halves to a byte table.
     """
 
     _tag = "select"
@@ -418,67 +419,63 @@ class SelectSupport(serialize.Framed):
         pos = np.flatnonzero(bits if self.value else ~bits)
         self.count = len(pos)
         self.samples = pos[:: self.SAMPLE].astype(np.int64)
-        register_allocation(self, self.samples.nbytes, "select_support")
+        self._finish()
 
-    def _abs_target(self, s):
-        # target-bit count at superblock boundary s
-        if self.value:
-            return int(self.rank_support.abs_counts[s])
-        return (s << 11) - int(self.rank_support.abs_counts[s])
+    def _finish(self):
+        counts = self.rank_support.abs_counts
+        extra = 0
+        if not self.value:
+            # zeros before each superblock; the last one counts the padding
+            counts = (np.arange(len(counts), dtype=np.int64) << 11) - counts
+            extra = counts.nbytes
+        # memoryviews hand out single items as Python ints, several times
+        # cheaper than numpy scalars, and bisect reads them directly
+        self._counts = memoryview(counts)
+        self._samples = memoryview(self.samples)
+        self._rel = memoryview(self.rank_support.rel_counts)
+        self._words = memoryview(self.bv.words)
+        register_allocation(self, self.samples.nbytes + extra, "select_support")
 
     def select(self, j):
         """Position of the j-th (1-based) target bit."""
         j = int(j)
         if not 1 <= j <= self.count:
             raise ValueError(f"select index {j} out of range (m={self.count})")
+        samples, counts = self._samples, self._counts
         t = (j - 1) // self.SAMPLE
-        lo_pos = int(self.samples[t])
-        if j - 1 == t * self.SAMPLE:
-            return lo_pos
-        n = self.bv.n
-        hi_pos = int(self.samples[t + 1]) if t + 1 < len(self.samples) else n - 1
-        slo, shi = lo_pos >> 11, (hi_pos >> 11) + 1
-        abs_counts = self.rank_support.abs_counts
-        if self.value:
-            targets = abs_counts
-            s = int(np.searchsorted(targets[slo : shi + 1], j, side="left")) + slo - 1
-        else:
-            block = np.arange(slo, shi + 1, dtype=np.int64) << 11
-            zeros = block - abs_counts[slo : shi + 1]
-            s = int(np.searchsorted(zeros, j, side="left")) + slo - 1
-        remaining = j - self._abs_target(s)
-        words = self.bv.words
-        rel = int(self.rank_support.rel_counts[s])
-        sub = 0
-        for jj in range(1, 6):
-            cnt = (rel >> (11 * (jj - 1))) & 0x7FF
+        hi = (samples[t + 1] >> 11) + 1 if t + 1 < len(samples) else len(counts)
+        # superblock s holds the target: counts[s] < j <= counts[s + 1]
+        s = bisect_left(counts, j, samples[t] >> 11, hi) - 1
+        remaining = j - counts[s]
+        rel = self._rel[s]
+        sub = before = 0
+        for k in range(1, 6):
+            cnt = (rel >> (11 * k - 11)) & 0x7FF
             if not self.value:
-                cnt = 384 * jj - cnt
-            if cnt < remaining:
-                sub = jj
-            else:
+                cnt = 384 * k - cnt
+            if cnt >= remaining:
                 break
-        if sub:
-            prev = (rel >> (11 * (sub - 1))) & 0x7FF
-            remaining -= prev if self.value else 384 * sub - prev
+            sub, before = k, cnt
+        remaining -= before
+        words = self._words
+        flip = 0 if self.value else 0xFFFFFFFFFFFFFFFF
+        # the target lies before n, so the scan stops inside the words
         w = (s << 5) + 6 * sub
         while True:
-            word = int(words[w]) if w < len(words) else 0
-            if not self.value:
-                word = ~word & 0xFFFFFFFFFFFFFFFF
+            word = words[w] ^ flip
             c = word.bit_count()
             if c >= remaining:
                 break
             remaining -= c
             w += 1
         base = w << 6
-        for byte_i in range(8):
-            byte = (word >> (8 * byte_i)) & 0xFF
-            c = byte.bit_count()
-            if c >= remaining:
-                return base + 8 * byte_i + int(_SELECT_IN_BYTE[byte, remaining - 1])
-            remaining -= c
-        raise AssertionError("select scan overran word")
+        for half, mask in ((32, 0xFFFFFFFF), (16, 0xFFFF), (8, 0xFF)):
+            c = (word & mask).bit_count()
+            if c < remaining:
+                remaining -= c
+                word >>= half
+                base += half
+        return base + _SELECT_IN_BYTE[((word & 0xFF) << 3) + remaining - 1]
 
     def _frame(self):
         width = width_for(max(self.bv.n - 1, 1))
@@ -488,19 +485,22 @@ class SelectSupport(serialize.Framed):
         )
 
     @classmethod
-    def deserialize(cls, f, bv, rank):
-        _, _, value, count = serialize.read_header(f, serialize.MAGIC_SELECT)
+    def deserialize(cls, f, bv, rank, value):
+        """Read a select directory for target bit `value` (1 or 0)."""
+        _, _, kind, count = serialize.read_header(f, serialize.MAGIC_SELECT)
         ones = rank.total_ones
-        if (value, count) not in ((1, ones), (0, bv.n - ones)):
+        if (kind, count) != (value, ones if value else bv.n - ones):
             raise serialize.FormatError("select header does not match its bits")
         iv = IntVector.deserialize(f)
+        if iv.n != -(-count // cls.SAMPLE):
+            raise serialize.FormatError("select samples do not match count")
         ss = cls.__new__(cls)
         ss.bv = bv
         ss.rank_support = rank
         ss.value = value
         ss.count = count
         ss.samples = iv.to_numpy().astype(np.int64)
-        register_allocation(ss, ss.samples.nbytes, "select_support")
+        ss._finish()
         return ss
 
 
@@ -562,9 +562,11 @@ class BackedBits(serialize.Framed):
         bb.bits = bv
         bb.rank_support = RankSupport.deserialize(f, bv)
         bb.select1_support = (
-            SelectSupport.deserialize(f, bv, bb.rank_support) if flags & 1 else None
+            SelectSupport.deserialize(f, bv, bb.rank_support, 1)
+            if flags & 1 else None
         )
         bb.select0_support = (
-            SelectSupport.deserialize(f, bv, bb.rank_support) if flags & 2 else None
+            SelectSupport.deserialize(f, bv, bb.rank_support, 0)
+            if flags & 2 else None
         )
         return bb

@@ -382,34 +382,38 @@ class SDVector(serialize.Framed):
         low = read_field(self.lows.words, self._low_offs[l] + (j - 1) * w, w)
         return ((p - j + 1) << w) | low
 
-    def rank(self, i, l=0):
-        """Number of values < i in list l."""
+    def rank_access(self, i, l=0):
+        """(rank(i, l), access(i, l)) from one scan of i's bucket."""
         i = int(i)
         first = self.bounds[l]
         m = self.bounds[l + 1] - first
-        if i <= 0 or m == 0:
-            return 0
-        i = min(i, self.universe)
+        if i < 0 or m == 0:
+            return 0, 0
+        if i >= self.universe:
+            return m, 0
         w = self.low_widths[l]
         hi = self._hi_offs[l]
         b = i >> w
         # the b-th zero of list l ends its values below b << w
         j = self.high.select0(hi - first + b) - hi - b + 1 if b else 0
         low_i = i & ((1 << w) - 1)
-        if low_i == 0:
-            return j
         high_words = self.high.bits.words
         low_words = self.lows.words
         pos, lo = hi + b + j, self._low_offs[l] + j * w
         while j < m and (int(high_words[pos >> 6]) >> (pos & 63)) & 1:
-            if read_field(low_words, lo, w) >= low_i:
-                break
+            low = read_field(low_words, lo, w)
+            if low >= low_i:
+                return j, int(low == low_i)
             j, pos, lo = j + 1, pos + 1, lo + w
-        return j
+        return j, 0
+
+    def rank(self, i, l=0):
+        """Number of values < i in list l."""
+        return self.rank_access(i, l)[0]
 
     def access(self, i, l=0):
         """1 when list l holds the value i (conceptual bitvector read)."""
-        return 1 if self.rank(i + 1, l) - self.rank(i, l) > 0 else 0
+        return self.rank_access(i, l)[1]
 
     def to_values(self):
         """All values, list after list."""

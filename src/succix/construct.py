@@ -465,10 +465,8 @@ class SaSamples(serialize.Framed):
 
     def lookup(self, row):
         """SA value at this row if the row is sampled, else None."""
-        before = self.marked.rank(row)
-        if self.marked.rank(row + 1) == before:
-            return None
-        return self.values[before] * self.rate
+        before, hit = self.marked.rank_access(row)
+        return self.values[before] * self.rate if hit else None
 
     def isa_sample(self, t):
         """Row of the suffix starting at text position t*rate."""

@@ -14,6 +14,7 @@ multiple of the rate), so a walk meets a mark within `rate` steps.
 """
 
 import struct
+from bisect import bisect_right
 
 import numpy as np
 
@@ -68,10 +69,6 @@ class _CsaBase(serialize.Framed):
             count=ep - sp + 1,
         )
 
-    def _symbol_at_row(self, row):
-        """First symbol of the suffix at this row, from the CNT table."""
-        return int(np.searchsorted(self.cnt, row, side="right")) - 1
-
     def _check_extract(self, start, length):
         if length < 0 or start < 0 or start + length > self.n:
             raise ValueError(
@@ -98,10 +95,14 @@ class CsaPsi(_CsaBase):
         samples = SaSamples.build(sa_iv, sample_rate)
         return cls(psi, samples, text_iv.n)
 
+    def _symbol_at_row(self, row):
+        """First symbol of the suffix at this row, from the list bounds."""
+        return bisect_right(self.psi_lists.bounds, row) - 1
+
     def psi(self, i):
         """Row of the suffix one position later in the text."""
         c = self._symbol_at_row(i)
-        return self.psi_lists.select(i - int(self.cnt[c]) + 1, c)
+        return self.psi_lists.select(i - self.psi_lists.bounds[c] + 1, c)
 
     def _interval_step(self, c, sp, ep):
         base = int(self.cnt[c])

@@ -252,7 +252,9 @@ class RmqSct(serialize.Framed):
         _, _, _, n = serialize.read_header(f, serialize.MAGIC_RMQ)
         rm = cls.__new__(cls)
         rm.n = n
-        rm.bp = BackedBits.deserialize(f)
+        rm.bp = bp = BackedBits.deserialize(f)
+        if len(bp) != 2 * n or bp.count_ones() != n or bp.select1_support is None:
+            raise serialize.FormatError("parenthesis vector does not match n")
         w = IntVector.deserialize(f)
         g = IntVector.deserialize(f)
         s = IntVector.deserialize(f)

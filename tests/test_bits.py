@@ -265,6 +265,30 @@ class TestSelect:
                 expect = rs.rank(p) if value else rs.rank0(p)
                 assert expect == j - 1
 
+    @pytest.mark.parametrize("density", [0.02, 0.5, 0.98])
+    def test_directory_edges(self, density):
+        """Every j within 2 of a 4096-sample boundary, and every target bit
+        on or next to a 2048-bit superblock or 384-bit sub-block edge."""
+        rng = np.random.default_rng(int(density * 100) + 7)
+        n = 700_000
+        bits = rng.random(n) < density
+        bv = BitVector(bits)
+        rs = RankSupport(bv)
+        starts = np.arange(0, n, 2048)[:, None] + 384 * np.arange(6)
+        edges = (starts.ravel()[:, None] + np.arange(-1, 2)).ravel()
+        for value in (1, 0):
+            ss = SelectSupport(bv, rs, value)
+            pos = np.flatnonzero(bits if value else ~bits)
+            m = len(pos)
+            near_samples = np.arange(0, m, 4096)[:, None] + np.arange(-2, 3)
+            # 0-based indices of the targets at or around each edge
+            at_edges = np.searchsorted(pos, edges)[:, None] + np.arange(-1, 2)
+            js = np.concatenate([near_samples.ravel(), at_edges.ravel()]) + 1
+            js = np.unique(js[(js >= 1) & (js <= m)])
+            assert len(js) > 2000
+            got = np.array([ss.select(int(j)) for j in js])
+            assert np.array_equal(got, pos[js - 1])
+
     def test_round_trip(self):
         rng = np.random.default_rng(16)
         bits = rng.random(9000) < 0.1
@@ -274,7 +298,7 @@ class TestSelect:
         buf = io.BytesIO()
         ss.serialize(buf)
         buf.seek(0)
-        ss2 = SelectSupport.deserialize(buf, bv, rs)
+        ss2 = SelectSupport.deserialize(buf, bv, rs, 1)
         assert ss2.value == 1 and ss2.count == ss.count
         for j in (1, ss.count // 3 + 1, ss.count):
             assert ss2.select(j) == ss.select(j)

@@ -210,6 +210,29 @@ class TestSDVector:
                 assert sd.rank(int(i), l) == int(np.searchsorted(values, i, "left"))
         assert (low_at, high_at) == (sd.lows.n, len(high))
 
+    def test_rank_access_every_position(self):
+        """rank_access(i, l) against np.searchsorted and np.isin for every
+        i of every list, with empty lists, duplicates, 0 and universe-1."""
+        rng = np.random.default_rng(41)
+        n = 1000
+        lists = [
+            [], [0], [n - 1], [0, 0, 5, 5, 5, n - 1, n - 1], [],
+            np.sort(rng.integers(0, n, size=300)),
+            np.sort(rng.choice(n, size=20, replace=False)),
+            np.arange(n), [n - 1] * 3, [],
+        ]
+        lists = [np.asarray(v, dtype=np.int64) for v in lists]
+        bounds = np.cumsum([0] + [len(v) for v in lists])
+        sd = SDVector(np.concatenate(lists), n, bounds)
+        probes = np.arange(-1, n + 1)
+        for l, values in enumerate(lists):
+            ranks = np.searchsorted(values, probes, "left")
+            held = np.isin(probes, values).astype(int)
+            got = np.array([sd.rank_access(int(i), l) for i in probes])
+            assert np.array_equal(got[:, 0], ranks)
+            assert np.array_equal(got[:, 1], held)
+            assert [sd.access(int(i), l) for i in probes] == held.tolist()
+
     def test_space_beats_plain_for_sparse(self):
         n = 1_000_000
         rng = np.random.default_rng(9)

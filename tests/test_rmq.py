@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from succix import serialize
 from succix.rmq import RmaxSct, RmqSct
 
 from oracles import rmaxq as naive_rmaxq, rmq as naive_rmq
@@ -102,6 +103,39 @@ def test_roundtrip():
     for l, r in [(0, 2999), (100, 200), (0, 0), (1500, 2500)]:
         assert back.query(l, r) == rm.query(l, r)
     assert rm.size_tree().total_bytes == rm.serialized_bytes()
+
+
+def _saved(n=2000):
+    rm = RmqSct(np.random.default_rng(6).integers(0, 50, size=n).tolist())
+    buf = io.BytesIO()
+    rm.serialize(buf)
+    return rm, buf.getvalue()
+
+
+def test_load_rejects_flipped_select_kind():
+    """The parenthesis vector has as many zeros as ones, so a select1
+    directory relabelled as select0 matches its count."""
+    rm, data = _saved()
+    bp = rm.bp
+    at = 2 * serialize.HEADER_BYTES + (
+        bp.bits.serialized_bytes() + bp.rank_support.serialized_bytes()
+    )
+    assert data[at : at + 8] == serialize.MAGIC_SELECT and data[at + 9] == 1
+    bad = bytearray(data)
+    bad[at + 9] = 0
+    with pytest.raises(serialize.FormatError):
+        RmqSct.deserialize(io.BytesIO(bytes(bad)))
+
+
+def test_load_rejects_mutated_n():
+    _, data = _saved()
+    # bytes 10..17 of the first header hold n, little-endian
+    assert int.from_bytes(data[10:18], "little") == 2000
+    for bad_n in (1999, 2001, 1000, 4000):
+        bad = bytearray(data)
+        bad[10:18] = bad_n.to_bytes(8, "little")
+        with pytest.raises(serialize.FormatError):
+            RmqSct.deserialize(io.BytesIO(bytes(bad)))
 
 
 def test_rmax_roundtrip():

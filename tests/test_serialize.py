@@ -122,7 +122,7 @@ def _small_structures():
         (
             "SelectSupport",
             SelectSupport(bv, rank, 0),
-            lambda f, s: SelectSupport.deserialize(f, s.bv, s.rank_support),
+            lambda f, s: SelectSupport.deserialize(f, s.bv, s.rank_support, s.value),
         ),
         ("BackedBits", BackedBits(bv, select1=True, select0=True), own(BackedBits)),
         ("RRRVector", RRRVector(bits, block_size=31), own(RRRVector)),
