@@ -37,6 +37,13 @@ def _offset_widths(t):
 
 
 _OFF_WIDTH = {t: _offset_widths(t) for t in BLOCK_SIZES}
+# offset width by class as a bytes.translate table, so that a run of class
+# bytes sums to its offset bits without numpy
+_WIDTH_TABLE = {
+    t: bytes(w.tolist()) + bytes(255 - t) for t, w in _OFF_WIDTH.items()
+}
+# zero bits of a block by class, as a bytes.translate table
+_ZERO_TABLE = {t: bytes(range(t, -1, -1)) + bytes(255 - t) for t in BLOCK_SIZES}
 _CLASS_BITS = {15: 4, 31: 5, 63: 6}
 
 # per-class binomial columns for arithmetic decode: _COLS[t][i][p] = C(p, i)
@@ -60,7 +67,8 @@ def _build_tables15():
     dec = vals[order].astype(np.uint16)
     starts = np.zeros(17, dtype=np.int64)
     starts[1:] = np.cumsum(np.bincount(cls, minlength=16))
-    return cls, off, dec, starts
+    # decode_block reads the block table item by item
+    return cls, off, memoryview(dec), starts.tolist()
 
 
 _CLS15, _OFF15, _DEC15, _DEC15_START = _build_tables15()
@@ -83,7 +91,7 @@ def encode_block(value, t):
 def decode_block(c, off, t):
     """Inverse of encode_block."""
     if t == 15:
-        return int(_DEC15[_DEC15_START[c] + off])
+        return _DEC15[_DEC15_START[c] + off]
     v = 0
     for i in range(c, 0, -1):
         p = bisect.bisect_right(_COLS[t][i], off) - 1
@@ -138,7 +146,7 @@ class RRRVector(serialize.Framed):
                 classes[b] = c
                 offs[b] = o
         self.nblocks = nblocks
-        self.classes = classes
+        self.classes = classes.tobytes()
         widths = _OFF_WIDTH[t][classes]
         starts = np.zeros(nblocks + 1, dtype=np.int64)
         np.cumsum(widths, out=starts[1:])
@@ -152,14 +160,20 @@ class RRRVector(serialize.Framed):
         self.sb_ranks = cum_rank[sb_idx]
         self.sb_ptrs = starts[sb_idx]
         self.total_ones = int(cum_rank[-1])
-        self._zeros_sb = self._bits_before(sb_idx) - self.sb_ranks
-
-    def _bits_before(self, block_idx):
-        return np.minimum(np.asarray(block_idx, dtype=np.int64) * self.t, self.n)
 
     def _finish(self):
-        nbytes = self.classes.nbytes + self.sb_ranks.nbytes + self.sb_ptrs.nbytes
+        nbytes = len(self.classes) + self.sb_ranks.nbytes + self.sb_ptrs.nbytes
         register_allocation(self, nbytes, "rrr_vector")
+        sb_bits = np.arange(len(self.sb_ranks)) * (self.SB_BLOCKS * self.t)
+        # memoryviews hand out single items as Python ints, several times
+        # cheaper than numpy scalars, and bisect reads them directly
+        self._ranks = memoryview(self.sb_ranks)
+        # zeros before each superblock, for select0
+        self._zeros = memoryview(np.minimum(sb_bits, self.n) - self.sb_ranks)
+        self._ptrs = memoryview(self.sb_ptrs)
+        self._words = memoryview(self.offsets.words)
+        self._widths = _WIDTH_TABLE[self.t]
+        self._zero_counts = _ZERO_TABLE[self.t]
 
     def __len__(self):
         return self.n
@@ -169,15 +183,12 @@ class RRRVector(serialize.Framed):
 
     def _block_value(self, b):
         """Decode block b from its superblock pointer."""
-        s = b // self.SB_BLOCKS
-        ptr = int(self.sb_ptrs[s])
-        first = s * self.SB_BLOCKS
-        widths = _OFF_WIDTH[self.t]
-        cls = self.classes[first:b]
-        if len(cls):
-            ptr += int(widths[cls].sum())
-        c = int(self.classes[b])
-        off = read_field(self.offsets.words, ptr, int(widths[c]))
+        first = b - b % self.SB_BLOCKS
+        cls = self.classes
+        widths = self._widths
+        ptr = self._ptrs[b // self.SB_BLOCKS] + sum(cls[first:b].translate(widths))
+        c = cls[b]
+        off = read_field(self._words, ptr, widths[c])
         return decode_block(c, off, self.t)
 
     def access(self, i):
@@ -198,12 +209,8 @@ class RRRVector(serialize.Framed):
         if i >= self.n:
             return self.total_ones
         b, r = divmod(i, self.t)
-        s = b // self.SB_BLOCKS
-        first = s * self.SB_BLOCKS
-        total = int(self.sb_ranks[s])
-        cls = self.classes[first:b]
-        if len(cls):
-            total += int(cls.sum())
+        first = b - b % self.SB_BLOCKS
+        total = self._ranks[b // self.SB_BLOCKS] + sum(self.classes[first:b])
         if r:
             v = self._block_value(b)
             total += (v & ((1 << r) - 1)).bit_count()
@@ -217,26 +224,28 @@ class RRRVector(serialize.Framed):
         m = self.total_ones if value else self.n - self.total_ones
         if not 1 <= j <= m:
             raise ValueError(f"select index {j} out of range (m={m})")
-        marks = self.sb_ranks if value else self._zeros_sb
-        s = int(np.searchsorted(marks, j, side="left")) - 1
+        marks = self._ranks if value else self._zeros
+        # superblock s holds the target: marks[s] < j <= marks[s + 1]
+        s = bisect.bisect_left(marks, j) - 1
         b = s * self.SB_BLOCKS
-        have = int(marks[s])
-        while True:
-            c = int(self.classes[b])
-            nbits = min(self.t, self.n - b * self.t)
-            inc = c if value else nbits - c
-            if have + inc >= j:
-                break
-            have += inc
-            b += 1
-        v = self._block_value(b)
+        row = self.classes[b:b + self.SB_BLOCKS]
         if not value:
-            v = ~v & ((1 << self.t) - 1)
-        remaining = j - have
+            # t - c zeros per block; the padding of the last block counts
+            # too, but the target lies before it
+            row = row.translate(self._zero_counts)
+        # block b + k holds the target: ends[k] < j <= ends[k + 1]
+        ends = list(itertools.accumulate(row, initial=marks[s]))
+        k = bisect.bisect_left(ends, j) - 1
+        b += k
+        v = self._block_value(b)
+        t = self.t
+        if not value:
+            v = ~v & ((1 << t) - 1)
+        remaining = j - ends[k]
         while remaining > 1:
             v &= v - 1
             remaining -= 1
-        return b * self.t + (v & -v).bit_length() - 1
+        return b * t + (v & -v).bit_length() - 1
 
     def select(self, j):
         """Position of the j-th (1-based) one-bit."""
@@ -256,7 +265,9 @@ class RRRVector(serialize.Framed):
 
     def _frame(self):
         return serialize.Frame(serialize.MAGIC_RRR, self.t, self.n, b"", [
-            ("classes", IntVector(self.classes, _CLASS_BITS[self.t])),
+            ("classes", IntVector(
+                np.frombuffer(self.classes, dtype=np.uint8), _CLASS_BITS[self.t]
+            )),
             ("offsets", self.offsets),
             ("pointers", IntVector(
                 self.sb_ptrs, width_for(max(self.offsets.n, 1))
@@ -284,15 +295,11 @@ class RRRVector(serialize.Framed):
             rv.nblocks, _CLASS_BITS[t], nsb + 1, nsb + 1
         ):
             raise serialize.FormatError("RRR vectors do not match n and t")
-        rv.classes = cls_iv.to_numpy().astype(np.uint8)
+        rv.classes = cls_iv.to_numpy().astype(np.uint8).tobytes()
         rv.offsets = off_iv
         rv.sb_ptrs = ptr_iv.to_numpy().astype(np.int64)
         rv.sb_ranks = rnk_iv.to_numpy().astype(np.int64)
         rv.total_ones = int(rv.sb_ranks[-1]) if len(rv.sb_ranks) else 0
-        sb_idx = np.minimum(
-            np.arange(nsb + 1, dtype=np.int64) * cls.SB_BLOCKS, rv.nblocks
-        )
-        rv._zeros_sb = rv._bits_before(sb_idx) - rv.sb_ranks
         rv._finish()
         return rv
 

@@ -231,7 +231,11 @@ class CsaWt(_CsaBase):
         _, _, _, n = serialize.read_header(f, serialize.MAGIC_CSA_WT)
         (sigma,) = serialize.read_fields(f, _U32.format)
         cnt = IntVector.deserialize(f).to_numpy().astype(np.int64)
+        if len(cnt) != sigma + 1 or cnt[-1] != n:
+            raise serialize.FormatError("symbol counts do not match sigma and n")
         wt = read_wavelet(f)
+        if wt.n != n:
+            raise serialize.FormatError("BWT wavelet length is not n")
         samples = SaSamples.deserialize(f)
         return cls(wt, cnt, samples, n)
 

@@ -22,6 +22,12 @@ _BACKEND_IDS = {"plain": 0, "rrr": 1}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 
 
+def _backend_name(kind):
+    if kind not in _BACKEND_NAMES:
+        raise serialize.FormatError(f"unknown bits backend id {kind}")
+    return _BACKEND_NAMES[kind]
+
+
 class _WaveletBase(serialize.Framed):
     """Queries both shapes answer the same way, on top of their rank."""
 
@@ -196,12 +202,16 @@ class WaveletTree(_WaveletBase):
         if shape != 0:
             raise serialize.FormatError("not a balanced wavelet tree frame")
         kind, height, sigma = serialize.read_fields(f, "<BQQ")
+        if height != max(1, (sigma - 1).bit_length()):
+            raise serialize.FormatError("wavelet height does not match sigma")
         wt = cls.__new__(cls)
         wt.n = n
         wt.sigma = sigma
         wt.height = height
-        wt.backend = _BACKEND_NAMES[kind]
+        wt.backend = _backend_name(kind)
         wt.levels = [read_bits(f) for _ in range(height)]
+        if any(len(bv) != n for bv in wt.levels):
+            raise serialize.FormatError("wavelet level length is not n")
         return wt
 
 
@@ -376,13 +386,15 @@ class WaveletTreeHuff(_WaveletBase):
         lengths = {raw[2 * k]: raw[2 * k + 1] for k in range(nsym)}
         wt = cls.__new__(cls)
         wt.n = n
-        wt.backend = _BACKEND_NAMES[kind]
+        wt.backend = _backend_name(kind)
         wt.codes = canonical_codes(lengths)
         wt._build_trie()
         order = wt._preorder()
         nodes = [None] * len(wt.children)
         for node in order:
             nodes[node] = read_bits(f)
+        if len(nodes[0]) != n:
+            raise serialize.FormatError("wavelet root length is not n")
         wt.nodes = nodes
         return wt
 

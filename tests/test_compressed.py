@@ -86,6 +86,50 @@ class TestRRRVector:
         with pytest.raises(ValueError):
             rv.select(len(ones) + 1)
 
+    @pytest.mark.parametrize("t", [15, 31, 63])
+    def test_superblock_edges(self, t):
+        """rank/access within 2 of every block (and so superblock) edge,
+        and select/select0 around every class change, over runs of empty
+        and full blocks, built and reloaded."""
+        rng = np.random.default_rng(t)
+        sb = RRRVector.SB_BLOCKS * t
+        parts = [
+            rng.random(2 * sb + 5) < 0.5,
+            np.zeros(40 * t, dtype=bool),
+            rng.random(sb) < 0.05,
+            np.ones(45 * t + 3, dtype=bool),
+            rng.random(sb - 7) < 0.95,
+            np.zeros(3 * sb, dtype=bool),
+            np.ones(2 * t, dtype=bool),
+            rng.random(sb + 11) < 0.5,
+        ]
+        bits = np.concatenate(parts)
+        n = len(bits)
+        assert n % t
+        built = RRRVector(bits, t)
+        buf = io.BytesIO()
+        built.serialize(buf)
+        buf.seek(0)
+        cum = np.concatenate([[0], np.cumsum(bits)])
+        near = (np.arange(0, n + t, t)[:, None] + np.arange(-2, 3)).ravel()
+        ranks = np.unique(near[(near >= 0) & (near <= n)])
+        padded = np.zeros(built.nblocks * t, dtype=bool)
+        padded[:n] = bits
+        classes = padded.reshape(-1, t).sum(axis=1)
+        assert {0, t} <= set(classes.tolist())
+        change = np.flatnonzero(np.diff(classes)) + 1
+        for rv in (built, RRRVector.deserialize(buf)):
+            assert np.array_equal([rv.rank(int(i)) for i in ranks], cum[ranks])
+            reads = ranks[ranks < n]
+            assert np.array_equal([rv.access(int(i)) for i in reads], bits[reads])
+            for value, sel in ((1, rv.select), (0, rv.select0)):
+                pos = np.flatnonzero(bits if value else ~bits)
+                before = cum[change * t] if value else change * t - cum[change * t]
+                js = (before[:, None] + np.arange(-1, 3)).ravel()
+                js = np.unique(js[(js >= 1) & (js <= len(pos))])
+                assert len(js) > 50
+                assert np.array_equal([sel(int(j)) for j in js], pos[js - 1])
+
     def test_compresses_skewed_bits(self):
         n = 500_000
         rng = np.random.default_rng(5)

@@ -6,7 +6,7 @@ import pytest
 from succix.bits import IntVector, width_for
 from succix.construct import build_suffix_array
 from succix.csa import CsaPsi, CsaWt, read_csa
-from succix.serialize import FormatError
+from succix.serialize import HEADER_BYTES, FormatError
 from succix.wavelet import WaveletTree, WaveletTreeHuff
 
 import oracles
@@ -162,3 +162,37 @@ def test_read_csa_rejects_other_streams():
     buf = io.BytesIO(b"\x00" * 40)
     with pytest.raises(FormatError):
         read_csa(buf)
+
+
+def _reload_csa_wt(csa, patch=None):
+    """Read back csa's serialization, with bytes {offset: value} patched."""
+    buf = io.BytesIO()
+    csa.serialize(buf)
+    data = bytearray(buf.getvalue())
+    for pos, value in (patch or {}).items():
+        data[pos] = value
+    return CsaWt.deserialize(io.BytesIO(bytes(data)))
+
+
+def test_csa_wt_rejects_wavelet_not_n():
+    _, csa = example_csas()
+    # a well-formed wavelet tree over one symbol fewer than the text
+    csa.wt = WaveletTreeHuff(TEXT[:-1])
+    with pytest.raises(FormatError, match="wavelet"):
+        _reload_csa_wt(csa)
+
+
+def test_csa_wt_rejects_counts_not_sigma():
+    _, csa = example_csas()
+    assert _reload_csa_wt(csa).n == csa.n
+    # the u32 sigma is the first fixed field after the header
+    with pytest.raises(FormatError, match="counts"):
+        _reload_csa_wt(csa, {HEADER_BYTES: csa.sigma_total + 1})
+
+
+def test_csa_wt_rejects_counts_not_n():
+    _, csa = example_csas()
+    csa.cnt = csa.cnt.copy()
+    csa.cnt[-1] -= 1
+    with pytest.raises(FormatError, match="counts"):
+        _reload_csa_wt(csa)

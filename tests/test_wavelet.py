@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
+from succix.compressed import make_bits
+from succix.serialize import HEADER_BYTES, FormatError
 from succix.wavelet import (
     WaveletTree,
     WaveletTreeHuff,
@@ -11,6 +13,16 @@ from succix.wavelet import (
     huffman_lengths,
     read_wavelet,
 )
+
+
+def reload(wt, patch=None):
+    """Read back wt's serialization, with bytes {offset: value} patched."""
+    buf = io.BytesIO()
+    wt.serialize(buf)
+    data = bytearray(buf.getvalue())
+    for pos, value in (patch or {}).items():
+        data[pos] = value
+    return read_wavelet(io.BytesIO(bytes(data)))
 
 
 def wt_level_bits(wt, level):
@@ -117,6 +129,26 @@ class TestBalanced:
         ]
         assert wt2.rank(400, 5) == wt.rank(400, 5)
 
+    def test_rejects_unknown_backend_byte(self):
+        wt = WaveletTree(np.arange(40) % 6)
+        # the backend id is the first fixed byte after the header
+        with pytest.raises(FormatError):
+            reload(wt, {HEADER_BYTES: 7})
+
+    def test_rejects_height_not_matching_sigma(self):
+        wt = WaveletTree(np.arange(40) % 6, sigma=8)
+        assert wt.height == 3
+        wt.sigma = 200
+        with pytest.raises(FormatError):
+            reload(wt)
+
+    @pytest.mark.parametrize("backend", ["plain", "rrr"])
+    def test_rejects_level_not_n(self, backend):
+        wt = WaveletTree(np.arange(40) % 6, backend=backend)
+        wt.levels[-1] = make_bits(np.zeros(39, dtype=bool), backend)
+        with pytest.raises(FormatError):
+            reload(wt)
+
     def test_size_tree_matches_stream(self):
         wt = WaveletTree(np.arange(64) % 5)
         buf = io.BytesIO()
@@ -210,6 +242,17 @@ class TestHuffShaped:
         buf2 = io.BytesIO()
         wt2.serialize(buf2)
         assert buf2.getvalue() == buf.getvalue()
+
+    def test_rejects_unknown_backend_byte(self):
+        wt = WaveletTreeHuff(np.arange(40) % 6)
+        with pytest.raises(FormatError):
+            reload(wt, {HEADER_BYTES: 7})
+
+    def test_rejects_root_not_n(self):
+        wt = WaveletTreeHuff(np.arange(40) % 6)
+        wt.n += 1
+        with pytest.raises(FormatError):
+            reload(wt)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
