@@ -227,27 +227,49 @@ class Collection:
 
 
 def build_suffix_array(T):
-    """Suffix array by prefix doubling with packed inter-round state.
+    """Suffix array by prefix doubling from a packed first key, with
+    packed inter-round state.
 
     Returns (sa ndarray, sa_packed IntVector). The rank state is carried
     bit-packed between rounds and the result is also returned packed, so a
     recording monitor sees the real working set.
+
+    The first round keys suffix i by its first h = max(1, 62 // bits)
+    symbols packed into one int64, bits = width_for(max(T) + 1). Each
+    symbol is packed as T + 1 so that a position past the end reads 0 and
+    sorts below every symbol: a suffix then sorts before every longer
+    suffix it is a prefix of. Each later round doubles the prefix length
+    k with the key (rank[i] + 1, rank[i + k] + 1), past the end again 0.
+
+    No sort needs to be stable: tied keys get equal ranks whatever their
+    order, and the round that stops has n distinct keys, whose order is
+    unique. Every suffix has its own length, and so its own padding, once
+    k reaches n, so the rounds end.
     """
-    T = np.asarray(T, dtype=np.int64)
+    T = np.asarray(T)
     n = len(T)
     if n == 0:
         return np.empty(0, dtype=np.int64), None
     if n >= 1 << 31:
         raise ValueError("text too long for 32-bit doubling keys")
+    # h = 1 packs T + 1 alone, which must stay below 2**63
+    if T.dtype.kind not in "iu" or T.min() < 0 or T.max() >= (1 << 63) - 1:
+        raise ValueError("symbols must be integers in [0, 2**63 - 1)")
+    T = T.astype(np.int64, copy=False)
+    hi = int(T.max())
+    bits = width_for(hi + 1)
     rank_width = width_for(max(n - 1, 1))
-    state = T
-    state_iv = IntVector(T, width_for(max(int(T.max()), 1)))
-    k = 1
-    sa = None
+    state_iv = IntVector(T, width_for(max(hi, 1)))
+    sym = T + 1
+    key = sym.copy()
+    # past n every key would only be shifted, which keeps their order
+    k = min(max(1, 62 // bits), n)
+    for j in range(1, k):
+        key <<= bits
+        key[: n - j] |= sym[j:]
+    del sym
     while True:
-        key = (state + 1) << 32
-        key[: n - k] |= state[k:] + 1
-        sa = np.argsort(key, kind="stable")
+        sa = np.argsort(key)
         sorted_key = key[sa]
         del key
         marks = np.empty(n, dtype=np.int64)
@@ -260,18 +282,13 @@ def build_suffix_array(T):
         new_rank[sa] = marks
         del marks
         state_iv = IntVector(new_rank, rank_width)
-        if distinct or k >= n:
+        if distinct:
             break
-        k <<= 1
         state = state_iv.to_numpy().astype(np.int64)
+        key = (state + 1) << 32
+        key[: n - k] |= state[k:] + 1
+        k <<= 1
     return sa, IntVector(sa, rank_width)
-
-
-def inverse_permutation(perm):
-    perm = np.asarray(perm, dtype=np.int64)
-    inv = np.empty(len(perm), dtype=np.int64)
-    inv[perm] = np.arange(len(perm), dtype=np.int64)
-    return inv
 
 
 def bwt_from_sa(text_iv, sa_iv, chunk=_CHUNK):

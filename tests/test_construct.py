@@ -5,6 +5,7 @@ import pytest
 
 import example_data as ex
 import oracles
+from succix.bits import IntVector, width_for
 from succix.construct import (
     ByteAlphabet,
     Collection,
@@ -14,7 +15,6 @@ from succix.construct import (
     build_suffix_array,
     bwt_from_sa,
     d_from_sa,
-    inverse_permutation,
     prev_next_occurrence,
     psi_from_bwt,
     read_alphabet,
@@ -127,7 +127,7 @@ class TestSuffixArray:
         sa, sa_iv = build_suffix_array(coll.text)
         assert sa.tolist() == ex.SA
         assert sa_iv.to_numpy().tolist() == ex.SA
-        assert inverse_permutation(sa).tolist() == ex.ISA
+        assert oracles.inverse_permutation(sa) == ex.ISA
 
     def test_tiny_text(self):
         sa, _ = build_suffix_array([2, 3, 0])
@@ -153,6 +153,74 @@ class TestSuffixArray:
         sa, iv = build_suffix_array([])
         assert len(sa) == 0 and iv is None
 
+    @staticmethod
+    def _check(t):
+        sa, sa_iv = build_suffix_array(t)
+        assert sa.tolist() == oracles.suffix_array(list(t))
+        width = width_for(max(len(t) - 1, 1))
+        assert np.array_equal(sa_iv.words, IntVector(sa, width).words)
+
+    @pytest.mark.parametrize(
+        "t", [[2, 0, 0, 0], [0, 0, 0], [3, 2, 0, 2, 0, 0], [0], [5, 5]]
+    )
+    def test_no_unique_terminator(self, t):
+        # a position past the end must sort below symbol 0
+        self._check(t)
+
+    # the largest symbol sets the width, so the first key packs h = 8, 3, 2, 1
+    @pytest.mark.parametrize("hi", [100, 1 << 17, 1 << 25, 1 << 40])
+    def test_first_key_widths(self, hi):
+        rng = np.random.default_rng(hi % 97)
+        for n in (30, 200):
+            # three symbols: long repeats, so the doubling rounds run
+            t = rng.choice([0, 2, hi], size=n, p=[0.1, 0.6, 0.3])
+            self._check(t.tolist())
+            self._check(t.tolist() + [0])
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_shorter_than_first_key(self, n):
+        rng = np.random.default_rng(n)
+        self._check([100] * n)
+        for _ in range(10):
+            self._check(rng.integers(0, 4, size=n).tolist() + [100])
+            self._check(rng.choice([0, 2, 100], size=n).tolist())
+
+    @pytest.mark.parametrize("text", ["ab" * 500, "a" * 1000])
+    def test_long_periodic_texts(self, text):
+        self._check([ord(c) - ord("a") + 2 for c in text] + [0])
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            [2**31, 2, 0],
+            [2**40, 5, 0],
+            [2**62, 1, 2**62, 2**62, 0],
+            [2**63 - 2, 0, 2**63 - 2, 2**63 - 3],
+        ],
+    )
+    def test_wide_symbols_exact(self, t):
+        self._check(t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            [2, -1, 0],
+            [2**63 - 1, 0],
+            [2**63, 5, 0],
+            np.array([2**64 - 1, 0], dtype=np.uint64),
+            [2.0, 0.0],
+        ],
+    )
+    def test_symbol_out_of_range_rejected(self, t):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*63 - 1\)"):
+            build_suffix_array(t)
+
+    def test_length_limit_checked_before_allocation(self):
+        # a zero-stride view: 2**31 symbols without 16 GB behind them
+        t = np.broadcast_to(np.int64(2), 1 << 31)
+        with pytest.raises(ValueError, match="too long"):
+            build_suffix_array(t)
+
 
 class TestBwtPsiD:
     def test_worked_example_bwt(self, coll):
@@ -177,8 +245,6 @@ class TestBwtPsiD:
         rng = np.random.default_rng(seed)
         t = rng.integers(2, 6, size=3000).astype(np.int64)
         t[-1] = 0
-        from succix.bits import IntVector
-
         sa, sa_iv = build_suffix_array(t)
         t_iv = IntVector(t, 3)
         # small chunks force the streaming paths across boundaries
@@ -274,7 +340,7 @@ class TestSaSamples:
             v = s.lookup(int(row))
             expect = int(sa[row]) if sa[row] % got_rate == 0 else None
             assert v == expect
-        isa = inverse_permutation(sa)
+        isa = oracles.inverse_permutation(sa)
         for tpos in range(0, 5000 // got_rate, max(1, 500 // got_rate)):
             assert s.isa_sample(tpos) == isa[tpos * got_rate]
 
