@@ -145,13 +145,33 @@ def gather_ints(words, width, positions):
     )
 
 
+# below this many whole groups of lcm(width, 64) bits, the per-column numpy
+# calls cost more than gather_ints takes for the whole read
+_COLUMN_GROUPS = 512
+
+
 def unpack_ints(words, width, start, count):
-    """Extract count packed values beginning at index start."""
-    if count <= 0:
-        return np.empty(0, dtype=np.uint64)
-    return gather_ints(
-        words, width, np.arange(start, start + count, dtype=np.int64)
-    )
+    """Extract count packed values beginning at index start: the whole
+    groups of a long read column by column, as pack_ints writes them, and
+    everything else through gather_ints."""
+    per_group = math.lcm(width, 64) // width
+    g0, g1 = -(-start // per_group), (start + count) // per_group
+    if g1 - g0 < _COLUMN_GROUPS:
+        return gather_ints(words, width, np.arange(start, start + count))
+    out = np.empty(count, dtype=np.uint64)
+    head, tail = g0 * per_group - start, g1 * per_group - start
+    out[:head] = unpack_ints(words, width, start, head)
+    out[tail:] = unpack_ints(words, width, start + tail, count - tail)
+    wpg = per_group * width // 64  # words per group
+    words2d = words[g0 * wpg : g1 * wpg].reshape(g1 - g0, wpg)
+    vals2d = out[head:tail].reshape(g1 - g0, per_group)
+    for j in range(per_group):
+        wi, sh = j * width >> 6, j * width & 63
+        col = words2d[:, wi] >> np.uint64(sh)
+        if sh + width > 64:
+            col |= words2d[:, wi + 1] << np.uint64(64 - sh)
+        np.bitwise_and(col, mask_for(width), out=vals2d[:, j])
+    return out
 
 
 class IntVector(serialize.Framed):

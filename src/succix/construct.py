@@ -291,21 +291,26 @@ def build_suffix_array(T):
     return sa, IntVector(sa, rank_width)
 
 
-def bwt_from_sa(text_iv, sa_iv, chunk=_CHUNK):
-    """Packed BWT streamed from the packed SA; only chunks are unpacked."""
+def _map_sa(sa_iv, width, fn, chunk):
+    """Packed vector of fn(SA[i]) at the given width, computed chunk by
+    chunk so that only one chunk of the packed SA is unpacked at a time."""
     n = sa_iv.n
-    w = text_iv.width
-    out_words = np.zeros(serialize.payload_words(n, w), dtype=np.uint64)
+    out_words = np.zeros(serialize.payload_words(n, width), dtype=np.uint64)
     assert chunk % 64 == 0
     for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        sa_chunk = sa_iv.to_numpy(start, stop).astype(np.int64)
-        prev = (sa_chunk - 1) % n
-        vals = gather_ints(text_iv.words, w, prev)
-        packed = pack_ints(vals, w)
-        woff = start * w // 64
+        sa_chunk = sa_iv.to_numpy(start, min(start + chunk, n)).astype(np.int64)
+        packed = pack_ints(fn(sa_chunk), width)
+        woff = start * width // 64
         out_words[woff : woff + len(packed)] = packed
-    return IntVector.from_words(out_words, n, w)
+    return IntVector.from_words(out_words, n, width)
+
+
+def bwt_from_sa(text_iv, sa_iv, chunk=_CHUNK):
+    """Packed BWT streamed from the packed SA."""
+    w, n = text_iv.width, sa_iv.n
+    return _map_sa(
+        sa_iv, w, lambda sa: gather_ints(text_iv.words, w, (sa - 1) % n), chunk
+    )
 
 
 def psi_from_bwt(bwt_iv, sigma_total):
@@ -314,9 +319,10 @@ def psi_from_bwt(bwt_iv, sigma_total):
 
     Psi as a permutation is the stable argsort of the BWT; the slice of
     rows belonging to symbol c is strictly increasing, which is exactly
-    what Elias-Fano wants.
+    what Elias-Fano wants. The BWT is sorted in the narrowest dtype that
+    holds sigma_total - 1, so up to 65,536 symbols it is one radix pass.
     """
-    bwt = bwt_iv.to_numpy().astype(np.int64)
+    bwt = bwt_iv.to_numpy().astype(np.min_scalar_type(sigma_total - 1))
     psi = np.argsort(bwt, kind="stable")
     hist = np.bincount(bwt, minlength=sigma_total)
     del bwt
@@ -325,33 +331,38 @@ def psi_from_bwt(bwt_iv, sigma_total):
     return SDVector(psi, bwt_iv.n, cnt)
 
 
+def doc_of_positions(sharp_positions, n):
+    """Document of each of the n text positions, the first whose terminator
+    is at or after it; ids take the narrowest dtype, so that a stable sort
+    of up to 65,536 documents' ids is one radix pass."""
+    ids = np.arange(len(sharp_positions) + 1)
+    return np.repeat(
+        ids.astype(np.min_scalar_type(ids[-1])),
+        np.diff(sharp_positions, prepend=-1, append=n - 1),
+    )
+
+
 def d_from_sa(sa_iv, sharp_positions, n_docs, chunk=_CHUNK):
     """Packed document array: D[i] = document containing position SA[i]."""
-    n = sa_iv.n
-    w = width_for(max(n_docs, 1))
-    out_words = np.zeros(serialize.payload_words(n, w), dtype=np.uint64)
-    assert chunk % 64 == 0
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        sa_chunk = sa_iv.to_numpy(start, stop).astype(np.int64)
-        d_chunk = np.searchsorted(sharp_positions, sa_chunk, side="left")
-        packed = pack_ints(d_chunk.astype(np.uint64), w)
-        woff = start * w // 64
-        out_words[woff : woff + len(packed)] = packed
-    return IntVector.from_words(out_words, n, w)
+    doc_of = doc_of_positions(sharp_positions, sa_iv.n)
+    return _map_sa(sa_iv, width_for(max(n_docs, 1)), doc_of.__getitem__, chunk)
 
 
 def prev_next_occurrence(d):
     """For each i: previous and next position with the same value.
 
-    prev is -1 where none exists, next is len(d) where none exists.
+    prev is -1 where none exists, next is len(d) where none exists. The
+    values sort in their narrowest dtype, by radix for ids up to 65,535.
     """
     d = np.asarray(d, dtype=np.int64)
     n = len(d)
+    lo, hi = int(d.min(initial=0)), int(d.max(initial=0))
+    d = d.astype(np.result_type(np.min_scalar_type(lo), np.min_scalar_type(hi)))
     order = np.argsort(d, kind="stable")
+    sorted_d = d[order]
+    same = sorted_d[1:] == sorted_d[:-1]
     prev = np.full(n, -1, dtype=np.int64)
     nxt = np.full(n, n, dtype=np.int64)
-    same = d[order][1:] == d[order][:-1]
     prev[order[1:][same]] = order[:-1][same]
     nxt[order[:-1][same]] = order[1:][same]
     return prev, nxt
@@ -388,12 +399,7 @@ class DocIsaTable(serialize.Framed):
         """
         n_docs = len(offsets)
         lengths = np.asarray(lengths, dtype=np.int64)
-        # document of each text position, the global terminator's is n_docs;
-        # ids of up to 16 bits let the stable argsort run as a radix sort
-        doc_of = np.repeat(
-            np.arange(n_docs + 1, dtype=np.min_scalar_type(n_docs)),
-            np.append(lengths + 1, 1),
-        )
+        doc_of = doc_of_positions(np.asarray(offsets) + lengths, sa_iv.n)
         sa = sa_iv.to_numpy().astype(np.int64)
         doc = doc_of[sa]
         by_doc = np.argsort(doc, kind="stable")

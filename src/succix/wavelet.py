@@ -72,14 +72,17 @@ class WaveletTree(_WaveletBase):
         self.height = max(1, (self.sigma - 1).bit_length())
         self.backend = backend
         levels = []
-        cur = seq
+        cur = seq.astype(np.min_scalar_type(self.sigma - 1))
         for level in range(self.height):
             shift = self.height - 1 - level
             bits = (cur >> shift) & 1
             levels.append(make_bits(bits.astype(bool), backend))
             if level + 1 < self.height:
-                order = np.argsort(seq >> shift, kind="stable")
-                cur = seq[order]
+                # level l + 1 is level l stably partitioned by the bits down
+                # to this one; keys of up to 16 bits sort as one radix pass
+                key_type = np.min_scalar_type((self.sigma - 1) >> shift)
+                key = (cur >> shift).astype(key_type)
+                cur = cur[np.argsort(key, kind="stable")]
         self.levels = levels
 
     def access(self, i):

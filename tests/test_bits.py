@@ -1,10 +1,11 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
 import oracles
-from succix import serialize
+from succix import bits, serialize
 from succix.bits import (
     BackedBits,
     BitVector,
@@ -39,6 +40,26 @@ class TestPacking:
         words = pack_ints(vals, 13)
         assert np.array_equal(unpack_ints(words, 13, 17, 100), vals[17:117])
         assert len(unpack_ints(words, 13, 0, 0)) == 0
+
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_to_numpy_matches_getitem(self, width):
+        # a group is lcm(width, 64) bits; the long read covers enough whole
+        # groups for the column path, the shorter ones stay on gather_ints
+        per_group = math.lcm(width, 64) // width
+        long = (bits._COLUMN_GROUPS + 1) * per_group + 1
+        rng = np.random.default_rng(width)
+        vals = rng.integers(
+            0, (1 << width) - 1, size=long + 2 * per_group + 3,
+            endpoint=True, dtype=np.uint64,
+        )
+        iv = IntVector(vals, width)
+        expect = [iv[i] for i in range(len(iv))]
+        counts = {0, 1, per_group - 1, per_group, per_group + 1, long}
+        for start in (0, per_group, 3):
+            for count in counts:
+                got = iv.to_numpy(start, start + count)
+                assert got.dtype == np.uint64
+                assert got.tolist() == expect[start : start + count]
 
     def test_value_too_wide_rejected(self):
         with pytest.raises(ValueError):

@@ -254,6 +254,43 @@ class TestBwtPsiD:
         expect_psi = oracles.psi(t.tolist(), sa.tolist())
         assert psi.to_values().tolist() == expect_psi
 
+    @pytest.mark.parametrize("sigma_total", [256, 257, 70000])
+    def test_psi_at_key_dtype_boundaries(self, sigma_total):
+        # the BWT sorts as uint8, uint16 and uint32 keys
+        rng = np.random.default_rng(sigma_total)
+        t = rng.integers(2, sigma_total, size=1500)
+        t[rng.integers(0, 1499, size=200)] = sigma_total - 1
+        t[-1] = 0
+        sa, sa_iv = build_suffix_array(t)
+        t_iv = IntVector(t, width_for(sigma_total - 1))
+        psi = psi_from_bwt(bwt_from_sa(t_iv, sa_iv), sigma_total)
+        assert psi.to_values().tolist() == oracles.psi(t.tolist(), sa.tolist())
+        hist = np.bincount(t, minlength=sigma_total)
+        assert list(psi.bounds) == [0] + np.cumsum(hist).tolist()
+
+    @pytest.mark.parametrize("n_docs", [255, 256])
+    def test_d_matches_sharp_search(self, n_docs):
+        # document ids of 8 and 16 bits; the global terminator's is n_docs
+        rng = np.random.default_rng(n_docs)
+        docs = [bytes(rng.integers(97, 101, size=rng.integers(0, 6)).tolist())
+                for _ in range(n_docs)]
+        coll = Collection(docs, ByteAlphabet.from_docs(docs))
+        sa, sa_iv = build_suffix_array(coll.text)
+        d_iv = d_from_sa(sa_iv, coll.sharp_positions, coll.n_docs, chunk=128)
+        expect = np.searchsorted(coll.sharp_positions, sa, side="left")
+        assert d_iv.to_numpy().tolist() == expect.tolist()
+
+    @pytest.mark.parametrize("hi", [255, 256, 65535, 65536])
+    def test_prev_next_at_key_dtype_boundaries(self, hi):
+        rng = np.random.default_rng(hi)
+        d = rng.choice([0, 1, hi - 1, hi], size=300)
+        prev, nxt = prev_next_occurrence(d)
+        for i in range(300):
+            before = [j for j in range(i) if d[j] == d[i]]
+            after = [j for j in range(i + 1, 300) if d[j] == d[i]]
+            assert prev[i] == (before[-1] if before else -1)
+            assert nxt[i] == (after[0] if after else 300)
+
     def test_prev_next_worked_example(self):
         prev, nxt = prev_next_occurrence(ex.D)
         assert prev.tolist() == ex.C_PREV

@@ -55,6 +55,22 @@ class TestBalanced:
             assert wt_level_bits(wt, level) == expect[level]
 
     @pytest.mark.parametrize("backend", ["plain", "rrr"])
+    @pytest.mark.parametrize("sigma", [1, 2, 256, 257, 65536, 65537])
+    def test_levels_at_key_dtype_boundaries(self, backend, sigma):
+        # level keys narrow to 8 or 16 bits where the symbols allow; runs of
+        # the top symbols tie on every level's key
+        rng = np.random.default_rng(sigma)
+        top = sigma - 1 - rng.integers(0, min(sigma, 3), size=150)
+        seq = rng.permutation(np.concatenate([
+            rng.integers(0, sigma, size=150), top, [0, sigma - 1],
+        ]))
+        wt = WaveletTree(seq, sigma=sigma, backend=backend)
+        expect = oracles.wavelet_levels(seq.tolist(), wt.height)
+        for level in range(wt.height):
+            assert wt_level_bits(wt, level) == expect[level]
+        assert [wt.access(i) for i in range(len(seq))] == seq.tolist()
+
+    @pytest.mark.parametrize("backend", ["plain", "rrr"])
     @pytest.mark.parametrize("sigma", [1, 2, 3, 16, 100])
     def test_randomized_ops(self, backend, sigma):
         rng = np.random.default_rng(sigma)
