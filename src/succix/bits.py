@@ -187,7 +187,6 @@ class IntVector(serialize.Framed):
         self.width = int(width)
         self.n = len(values)
         self.words = pack_ints(values, self.width)
-        self._mask = mask_for(self.width)
         self._finish()
 
     @classmethod
@@ -205,11 +204,15 @@ class IntVector(serialize.Framed):
         if nwords and tail:
             words[-1] &= (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
         iv.words = words
-        iv._mask = mask_for(iv.width)
         iv._finish()
         return iv
 
     def _finish(self):
+        # memoryviews hand out single items as Python ints, several times
+        # cheaper than numpy scalars; the scalar readers built on this
+        # vector's words share this one
+        self._words = memoryview(self.words)
+        self._mask = (1 << self.width) - 1
         register_allocation(self, self.words.nbytes, self._tag)
 
     def __len__(self):
@@ -227,10 +230,11 @@ class IntVector(serialize.Framed):
             raise IndexError("index out of range")
         bit = i * self.width
         wi, sh = bit >> 6, bit & 63
-        v = int(self.words[wi]) >> sh
+        words = self._words
+        v = words[wi] >> sh
         if sh + self.width > 64:
-            v |= int(self.words[wi + 1]) << (64 - sh)
-        return v & int(self._mask)
+            v |= words[wi + 1] << (64 - sh)
+        return v & self._mask
 
     def __iter__(self):
         return iter(self.to_numpy())
@@ -288,7 +292,6 @@ class BitVector(IntVector):
         buf = np.zeros(nwords * 8, dtype=np.uint8)
         buf[: len(packed)] = packed
         self.words = buf.view("<u8").astype(np.uint64)
-        self._mask = mask_for(1)
         self._finish()
 
     @classmethod
@@ -336,6 +339,12 @@ class RankSupport(serialize.Framed):
             rel[:nsuper] |= counts << np.uint64(11 * (j - 1))
         self.rel_counts = rel
         self.total_ones = int(cum[len(words)])
+        self._finish()
+
+    def _finish(self):
+        self._abs = memoryview(self.abs_counts)
+        self._rel = memoryview(self.rel_counts)
+        self._words = self.bv._words
         register_allocation(
             self, self.abs_counts.nbytes + self.rel_counts.nbytes, "rank_support"
         )
@@ -349,17 +358,17 @@ class RankSupport(serialize.Framed):
             return self.total_ones
         s, r = i >> 11, i & 2047
         j = r // 384
-        base = int(self.abs_counts[s])
+        base = self._abs[s]
         if j:
-            base += (int(self.rel_counts[s]) >> (11 * (j - 1))) & 0x7FF
-        words = self.bv.words
+            base += (self._rel[s] >> (11 * (j - 1))) & 0x7FF
+        words = self._words
         w0 = (s << 5) + 6 * j
         wlast = i >> 6
         for t in range(w0, wlast):
-            base += int(words[t]).bit_count()
+            base += words[t].bit_count()
         tail = i & 63
         if tail:
-            base += (int(words[wlast]) & ((1 << tail) - 1)).bit_count()
+            base += (words[wlast] & ((1 << tail) - 1)).bit_count()
         return base
 
     def rank0(self, i):
@@ -413,9 +422,7 @@ class RankSupport(serialize.Framed):
         if len(rs.abs_counts) != expected:
             raise serialize.FormatError("rank directory does not match bitvector")
         rs.total_ones = int(rs.abs_counts[-1])
-        register_allocation(
-            rs, rs.abs_counts.nbytes + rs.rel_counts.nbytes, "rank_support"
-        )
+        rs._finish()
         return rs
 
 
@@ -452,8 +459,8 @@ class SelectSupport(serialize.Framed):
         # cheaper than numpy scalars, and bisect reads them directly
         self._counts = memoryview(counts)
         self._samples = memoryview(self.samples)
-        self._rel = memoryview(self.rank_support.rel_counts)
-        self._words = memoryview(self.bv.words)
+        self._rel = self.rank_support._rel
+        self._words = self.rank_support._words
         register_allocation(self, self.samples.nbytes + extra, "select_support")
 
     def select(self, j):

@@ -171,7 +171,7 @@ class RRRVector(serialize.Framed):
         # zeros before each superblock, for select0
         self._zeros = memoryview(np.minimum(sb_bits, self.n) - self.sb_ranks)
         self._ptrs = memoryview(self.sb_ptrs)
-        self._words = memoryview(self.offsets.words)
+        self._words = self.offsets._words
         self._widths = _WIDTH_TABLE[self.t]
         self._zero_counts = _ZERO_TABLE[self.t]
 
@@ -334,6 +334,15 @@ class SDVector(serialize.Framed):
         hi_pos = (values >> w) + j + np.asarray(self._hi_offs[:-1])[lid]
         high_bits = BitVector.from_positions(hi_pos, self._hi_offs[-1])
         self.high = BackedBits(high_bits, select1=True, select0=True)
+        self._finish()
+
+    def _finish(self):
+        # the scalar queries read words through memoryviews and call the
+        # select directories without going through BackedBits
+        self._high_words = self.high.bits._words
+        self._low_words = self.lows._words
+        self._select1 = self.high.select1_support
+        self._select0 = self.high.select0_support
 
     @staticmethod
     def _width(n, m):
@@ -385,8 +394,8 @@ class SDVector(serialize.Framed):
         if not 1 <= j <= self.bounds[l + 1] - first:
             raise ValueError(f"select index {j} out of range in list {l}")
         w = self.low_widths[l]
-        p = self.high.select(first + j) - self._hi_offs[l]
-        low = read_field(self.lows.words, self._low_offs[l] + (j - 1) * w, w)
+        p = self._select1.select(first + j) - self._hi_offs[l]
+        low = read_field(self._low_words, self._low_offs[l] + (j - 1) * w, w)
         return ((p - j + 1) << w) | low
 
     def rank_access(self, i, l=0):
@@ -402,12 +411,12 @@ class SDVector(serialize.Framed):
         hi = self._hi_offs[l]
         b = i >> w
         # the b-th zero of list l ends its values below b << w
-        j = self.high.select0(hi - first + b) - hi - b + 1 if b else 0
+        j = self._select0.select(hi - first + b) - hi - b + 1 if b else 0
         low_i = i & ((1 << w) - 1)
-        high_words = self.high.bits.words
-        low_words = self.lows.words
+        high_words = self._high_words
+        low_words = self._low_words
         pos, lo = hi + b + j, self._low_offs[l] + j * w
-        while j < m and (int(high_words[pos >> 6]) >> (pos & 63)) & 1:
+        while j < m and (high_words[pos >> 6] >> (pos & 63)) & 1:
             low = read_field(low_words, lo, w)
             if low >= low_i:
                 return j, int(low == low_i)
@@ -454,6 +463,9 @@ class SDVector(serialize.Framed):
             sd._low_offs[-1], sd._hi_offs[-1], m
         ):
             raise serialize.FormatError("Elias-Fano payload does not match bounds")
+        if sd.high.select1_support is None or sd.high.select0_support is None:
+            raise serialize.FormatError("Elias-Fano high bits lack a select")
+        sd._finish()
         return sd
 
 

@@ -423,7 +423,7 @@ class DocIsaTable(serialize.Framed):
         if not 0 <= local_pos <= self._lens[d]:
             raise IndexError("local position out of range")
         w = self._widths[d]
-        return read_field(self.stream.words, self._offs[d] + local_pos * w, w)
+        return read_field(self.stream._words, self._offs[d] + local_pos * w, w)
 
     def _frame(self):
         return serialize.Frame(

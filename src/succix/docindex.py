@@ -7,7 +7,11 @@ count with document id breaking ties.
 * SadaIndex lists each distinct document exactly once by recursing over
   range-minimum structures on the previous/next-occurrence arrays, then
   reads per-document counts from the stored per-document inverse suffix
-  arrays. Query time scales with the number of reported documents.
+  arrays. The two passes (leftmost and rightmost rows) share the text
+  positions they walk, so each distinct row is walked once, and each
+  pass stops as soon as its document set is complete: the first at every
+  document, the second at the first one's count. Query time scales with
+  the number of reported documents.
 * GreedyIndex walks a wavelet tree over the document array with a
   max-heap on interval size, emitting documents best-first and stopping
   after k, without touching the rest.
@@ -122,27 +126,33 @@ class SadaIndex(_IndexBase):
         # document d starts right after the (d)th separator
         return self.border.select(d) + 1 if d else 0
 
-    def _list_edges(self, sp, ep, rmq, leftmost):
-        """Distinct docs in rows [sp, ep] with one edge occurrence each.
+    def _list_edges(self, sp, ep, rmq, leftmost, limit, walked):
+        """Distinct docs in rows [sp, ep] with one edge occurrence each,
+        stopping once `limit` documents are listed.
 
         With the previous-occurrence minimum structure and left-first
         traversal this finds each document's leftmost row; the mirrored
         right-first traversal over next-occurrences finds the rightmost.
-        A document already seen proves the whole subinterval is covered.
+        A document already seen proves the whole subinterval is covered,
+        so once every document is listed the rest of the stack only holds
+        seen ones. `walked` maps rows to text positions: a row already
+        walked is not walked again, and every new walk is stored.
         """
-        seen = np.zeros(self.n_docs + 1, dtype=bool)
+        seen = bytearray(self.n_docs + 1)
         edges = {}
         stack = [(sp, ep)]
-        while stack:
+        while stack and len(edges) < limit:
             lo, hi = stack.pop()
             if lo > hi:
                 continue
             x = rmq.query(lo, hi)
-            pos = self.csa.sa_access(x)
+            pos = walked.get(x)
+            if pos is None:
+                pos = walked[x] = self.csa.sa_access(x)
             d = self.border.rank(pos)
             if seen[d]:
                 continue
-            seen[d] = True
+            seen[d] = 1
             if d < self.n_docs:
                 edges[d] = pos
             if leftmost:
@@ -158,8 +168,11 @@ class SadaIndex(_IndexBase):
         if hit is None:
             return []
         sp, ep = hit
-        first = self._list_edges(sp, ep, self.rminq, leftmost=True)
-        last = self._list_edges(sp, ep, self.rmaxq, leftmost=False)
+        # both passes share one row -> position cache, and the first pass
+        # gives the exact df, at which the second one can stop
+        walked = {}
+        first = self._list_edges(sp, ep, self.rminq, True, self.n_docs, walked)
+        last = self._list_edges(sp, ep, self.rmaxq, False, len(first), walked)
         pairs = []
         for d, lpos in first.items():
             off = self._doc_offset(d)
@@ -177,7 +190,7 @@ class SadaIndex(_IndexBase):
         hit = self.csa.backward_search(symbols)
         if hit is None:
             return 0
-        return len(self._list_edges(*hit, self.rminq, leftmost=True))
+        return len(self._list_edges(*hit, self.rminq, True, self.n_docs, {}))
 
     def _frame(self):
         return serialize.Frame(

@@ -22,22 +22,23 @@ from .monitor import register_allocation
 
 _M64 = (1 << 64) - 1
 
-_MINPRE8 = np.zeros(256, dtype=np.int8)
-_ARGR8 = np.zeros(256, dtype=np.uint8)
-_DELTA8 = np.zeros(256, dtype=np.int8)
+# per byte: the minimum excess of its prefixes, the rightmost position
+# reaching it, and its total excess; Python lists for the scalar queries
+_MINPRE8, _ARGR8, _DELTA8 = [], [], []
 for _b in range(256):
     _e, _mn, _arg = 0, 127, 0
     for _j in range(8):
         _e += 1 if (_b >> _j) & 1 else -1
         if _e <= _mn:
             _mn, _arg = _e, _j
-    _MINPRE8[_b] = _mn
-    _ARGR8[_b] = _arg
-    _DELTA8[_b] = _e
+    _MINPRE8.append(_mn)
+    _ARGR8.append(_arg)
+    _DELTA8.append(_e)
 del _b, _j, _e, _mn, _arg
 
-_MINPRE16 = _MINPRE8.astype(np.int32)
-_DELTA16 = _DELTA8.astype(np.int32)
+# the same tables as arrays, for the directory build
+_MINPRE16 = np.array(_MINPRE8, dtype=np.int32)
+_DELTA16 = np.array(_DELTA8, dtype=np.int32)
 
 
 class RmqSct(serialize.Framed):
@@ -104,6 +105,7 @@ class RmqSct(serialize.Framed):
         self._l2min = smin.astype(np.int32)
 
     def _finish(self):
+        self._words = self.bp.bits._words
         register_allocation(
             self,
             self._wordmin.nbytes + self._l1min.nbytes + self._l2min.nbytes,
@@ -120,7 +122,7 @@ class RmqSct(serialize.Framed):
     def _word_argmin(self, widx, lo, hi):
         """Rightmost argmin of E over bit positions [64w+lo, 64w+hi]."""
         base = self._excess((widx << 6) + lo - 1)
-        w = int(self.bp.bits.words[widx]) >> lo
+        w = self._words[widx] >> lo
         span = hi - lo + 1
         if span < 64:
             w |= _M64 ^ ((1 << span) - 1)
@@ -131,9 +133,9 @@ class RmqSct(serialize.Framed):
             byte = (w >> (8 * k)) & 0xFF
             m = cur + _MINPRE8[byte]
             if m <= best_val:
-                best_val = int(m)
-                best_pos = 8 * k + int(_ARGR8[byte])
-            cur += int(_DELTA8[byte])
+                best_val = m
+                best_pos = 8 * k + _ARGR8[byte]
+            cur += _DELTA8[byte]
         return (widx << 6) + lo + best_pos, base + best_val
 
     def _scan_words(self, wa, wb):

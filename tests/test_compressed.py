@@ -301,6 +301,16 @@ class TestSDVector:
             for l in range(len(sd.bounds) - 1):
                 assert sd2.rank(5000, l) == sd.rank(5000, l)
 
+    @pytest.mark.parametrize("missing", ["select1_support", "select0_support"])
+    def test_high_bits_without_a_select_rejected(self, missing):
+        sd = SDVector(np.arange(0, 3000, 7), 3000)
+        setattr(sd.high, missing, None)
+        buf = io.BytesIO()
+        sd.serialize(buf)
+        buf.seek(0)
+        with pytest.raises(serialize.FormatError):
+            SDVector.deserialize(buf)
+
 
 class TestBackendFactory:
     def test_round_trip_dispatch(self):

@@ -223,3 +223,62 @@ def test_temp_artifacts_written(tmp_path):
     sort_dir = tmp_path / "sort"
     build_sort(coll, temp_dir=str(sort_dir))
     assert sorted(p.name for p in sort_dir.iterdir()) == ["d.iv", "sa.iv"]
+
+
+def count_walks(index):
+    """Record the rows each sa_access call of this sada index walks."""
+    rows = []
+    walk = index.csa.sa_access
+
+    def counted(i):
+        rows.append(i)
+        return walk(i)
+
+    index.csa.sa_access = counted
+    return rows
+
+
+def test_sada_walks_each_row_at_most_once():
+    rng = np.random.default_rng(31337)
+    docs = random_docs(rng, 30, 50, letters=b"ab")
+    coll = Collection(docs, ByteAlphabet.from_docs(docs))
+    index = build_sada(coll, sample_rate=4)
+    rows = count_walks(index)
+    for pattern in (b"a", b"b", b"ab", b"ba", b"aab", b"abba"):
+        rows.clear()
+        index.query(pattern, 3)
+        assert rows and len(rows) == len(set(rows)), pattern
+        rows.clear()
+        index.df(pattern)
+        assert rows and len(rows) == len(set(rows)), pattern
+
+
+def test_sada_walks_once_per_single_occurrence_document():
+    docs = [b"xqy", b"zzqz", b"yy", b"q", b"xyzxyzq", b"zxy", b"qxyz"]
+    coll = Collection(docs, ByteAlphabet.from_docs(docs))
+    index = build_sada(coll, sample_rate=2)
+    rows = count_walks(index)
+    hits = index.query(b"q", len(docs))
+    assert [(h.doc, h.tf) for h in hits] == naive_pairs(docs, b"q")
+    assert len(rows) == len(hits) == 5
+    rows.clear()
+    assert index.df(b"q") == 5
+    assert len(rows) == 5
+
+
+def test_sada_pattern_in_every_document():
+    rng = np.random.default_rng(2718)
+    n_docs = 12
+    # every document holds "a" at least once, most of them several times
+    docs = [b"a" + d for d in random_docs(rng, n_docs, 30, letters=b"abc")]
+    coll = Collection(docs, ByteAlphabet.from_docs(docs))
+    sada = build_sada(coll, sample_rate=3)
+    sort = build_sort(coll)
+    for pattern in (b"a", b"ab", b"ca"):
+        expected = naive_pairs(docs, pattern)
+        assert sada.df(pattern) == sort.df(pattern) == len(expected)
+        for k in range(1, n_docs + 1):
+            got = sada.query(pattern, k)
+            assert [(h.doc, h.tf) for h in got] == expected[:k], (pattern, k)
+            assert got == sort.query(pattern, k)
+    assert sada.df(b"a") == n_docs
