@@ -9,10 +9,6 @@ import time
 from collections import defaultdict
 
 
-def _pattern_length(pattern):
-    return len(pattern)
-
-
 def bench_index(index, patterns, k, ranking="freq", cutoff_ms=5000.0):
     """Run every query, grouped by length. Returns one dict per length.
 
@@ -21,7 +17,7 @@ def bench_index(index, patterns, k, ranking="freq", cutoff_ms=5000.0):
     """
     groups = defaultdict(list)
     for p in patterns:
-        groups[_pattern_length(p)].append(p)
+        groups[len(p)].append(p)
     budget_ns = float(cutoff_ms) * 1e6
     rows = []
     for length in sorted(groups):

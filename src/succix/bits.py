@@ -256,10 +256,6 @@ class IntVector(serialize.Framed):
             stop = self.n
         return unpack_ints(self.words, self.width, start, stop - start)
 
-    @property
-    def bit_size(self):
-        return len(self.words) * 64
-
     def _frame(self):
         return serialize.Frame(
             self._magic, self.width, self.n, self.words.astype("<u8", copy=False)

@@ -63,13 +63,20 @@ def _cmd_build(args):
     return 0
 
 
-def _add_query(sub):
-    p = sub.add_parser("query", help="run top-k queries from a pattern file")
+def _add_query_args(p, *more):
+    """`query` and `bench` arguments; `more` (flags, options) precede --out."""
     p.add_argument("--index", required=True)
     p.add_argument("--patterns", required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--ranking", choices=("freq", "tfidf"), default="freq")
+    for flags, options in more:
+        p.add_argument(*flags, **options)
     p.add_argument("--out", default=None, help="TSV output (default stdout)")
+
+
+def _add_query(sub):
+    p = sub.add_parser("query", help="run top-k queries from a pattern file")
+    _add_query_args(p)
 
 
 def _cmd_query(args):
@@ -133,16 +140,13 @@ def _cmd_size_report(args):
 
 
 def _add_bench(sub):
-    p = sub.add_parser("bench", help="time queries grouped by length")
-    p.add_argument("--index", required=True)
-    p.add_argument("--patterns", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--ranking", choices=("freq", "tfidf"), default="freq")
-    p.add_argument(
-        "--cutoff-ms", type=float, default=5000.0,
-        help="per-length time budget before the group is cut off",
+    _add_query_args(
+        sub.add_parser("bench", help="time queries grouped by length"),
+        (("--cutoff-ms",), dict(
+            type=float, default=5000.0,
+            help="per-length time budget before the group is cut off",
+        )),
     )
-    p.add_argument("--out", default=None, help="TSV output (default stdout)")
 
 
 def _cmd_bench(args):

@@ -213,18 +213,6 @@ class Collection:
     def packed_text(self):
         return IntVector(self.text, width_for(self.sigma_total - 1))
 
-    def count_table(self):
-        """CNT[c] = number of symbols in T smaller than c (len sigma+1)."""
-        hist = np.bincount(self.text, minlength=self.sigma_total)
-        cnt = np.zeros(self.sigma_total + 1, dtype=np.int64)
-        np.cumsum(hist, out=cnt[1:])
-        return cnt
-
-    def doc_of_position(self, pos):
-        return int(
-            np.searchsorted(self.sharp_positions, pos, side="left")
-        )
-
 
 def build_suffix_array(T):
     """Suffix array by prefix doubling from a packed first key, with

@@ -19,6 +19,10 @@ count with document id breaking ties.
   query interval with a counting pass; simplest, fastest to build, and
   the baseline the other two are checked against.
 
+Each layout takes its CSA as an argument and runs over either CsaPsi or
+CsaWt; the file names the CSA's kind, so any composition saves and loads.
+The builders keep one default each: CsaPsi for sada, CsaWt for the rest.
+
 Scores are either the raw count (freq) or count * ln(N/df) (tfidf).
 The document frequency df is shared by every hit of one pattern, so both
 rankings agree on order; when df = N the tfidf scores are exactly zero.
@@ -44,7 +48,7 @@ from .construct import (
     psi_from_bwt,
     read_alphabet,
 )
-from .csa import CsaPsi, CsaWt
+from .csa import CsaPsi, CsaWt, read_csa
 from .monitor import memory_monitor
 from .rmq import RmaxSct, RmqSct
 from .wavelet import WaveletTree
@@ -52,7 +56,6 @@ from .wavelet import WaveletTree
 _U64 = struct.Struct("<Q")
 
 ALGOS = ("sada", "greedy", "sort")
-_ALGO_IDS = {"sada": 0, "greedy": 1, "sort": 2}
 
 
 class Hit(NamedTuple):
@@ -70,8 +73,22 @@ def _score_hits(pairs, k, ranking, n_docs, df):
 
 
 class _IndexBase(serialize.Framed):
+    """The alphabet, the CSA that finds a pattern's suffix array interval
+    (sp, ep), and the frame; each layout answers from (sp, ep)."""
+
     algo = None
     _tag = "index"
+    # (frame part name, attribute) of each document structure, in the
+    # order the constructor takes them after n_docs and the file holds them
+    _doc_parts = ()
+
+    def __init__(self, csa, alphabet, n_docs, *docs):
+        self.csa = csa
+        self.alphabet = alphabet
+        self.n_docs = n_docs
+        self.n = csa.n
+        for (_, attr), part in zip(self._doc_parts, docs, strict=True):
+            setattr(self, attr, part)
 
     def __len__(self):
         return self.n
@@ -83,6 +100,13 @@ class _IndexBase(serialize.Framed):
     def encode(self, pattern):
         return self.alphabet.encode_pattern(pattern)
 
+    def _interval(self, pattern):
+        """Suffix array interval (sp, ep) of a raw pattern, or None."""
+        symbols = self.encode(pattern)
+        if symbols is None or len(symbols) == 0:
+            return None
+        return self.csa.backward_search(symbols)
+
     def query(self, pattern, k, ranking="freq"):
         """Top-k documents for a raw pattern, best first.
 
@@ -92,39 +116,49 @@ class _IndexBase(serialize.Framed):
         if ranking not in ("freq", "tfidf"):
             raise ValueError(f"unknown ranking {ranking!r}")
         k = int(k)
-        symbols = self.encode(pattern)
-        if symbols is None or len(symbols) == 0 or k <= 0:
+        hit = self._interval(pattern) if k > 0 else None
+        if hit is None:
             return []
-        return self._query_symbols(symbols, k, ranking)
+        return self._query_interval(*hit, k, ranking)
 
     def df(self, pattern):
         """Number of distinct documents containing the pattern."""
-        symbols = self.encode(pattern)
-        if symbols is None or len(symbols) == 0:
-            return 0
-        return self._df_symbols(symbols)
+        hit = self._interval(pattern)
+        return 0 if hit is None else self._df_interval(*hit)
+
+    def _query_interval(self, sp, ep, k, ranking):
+        pairs = self._ranked(sp, ep)
+        return _score_hits(pairs, k, ranking, self.n_docs, len(pairs))
+
+    def _df_interval(self, sp, ep):
+        return len(self._ranked(sp, ep))
+
+    def _frame(self):
+        parts = [("alphabet", self.alphabet), (self.csa._tag, self.csa)]
+        parts += [(name, getattr(self, attr)) for name, attr in self._doc_parts]
+        return serialize.Frame(
+            serialize.MAGIC_INDEX, ALGOS.index(self.algo), self.n,
+            _U64.pack(self.n_docs), parts,
+        )
 
     def save(self, path):
         with open(path, "wb") as f:
             return self.serialize(f)
 
 
+def _expect(ok, what):
+    if not ok:
+        raise serialize.FormatError(f"{what} does not match the index header")
+
+
 class SadaIndex(_IndexBase):
     algo = "sada"
-
-    def __init__(self, csa, alphabet, border, doc_isa, rminq, rmaxq, n_docs):
-        self.csa = csa
-        self.alphabet = alphabet
-        self.border = border
-        self.doc_isa = doc_isa
-        self.rminq = rminq
-        self.rmaxq = rmaxq
-        self.n_docs = n_docs
-        self.n = csa.n
-
-    def _doc_offset(self, d):
-        # document d starts right after the (d)th separator
-        return self.border.select(d) + 1 if d else 0
+    _doc_parts = (
+        ("doc_borders", "border"),
+        ("doc_isa", "doc_isa"),
+        ("first_occ_rmq", "rminq"),
+        ("last_occ_rmq", "rmaxq"),
+    )
 
     def _list_edges(self, sp, ep, rmq, leftmost, limit, walked):
         """Distinct docs in rows [sp, ep] with one edge occurrence each,
@@ -163,11 +197,7 @@ class SadaIndex(_IndexBase):
                 stack.append((x + 1, hi))
         return edges
 
-    def _ranked(self, symbols):
-        hit = self.csa.backward_search(symbols)
-        if hit is None:
-            return []
-        sp, ep = hit
+    def _ranked(self, sp, ep):
         # both passes share one row -> position cache, and the first pass
         # gives the exact df, at which the second one can stop
         walked = {}
@@ -175,65 +205,39 @@ class SadaIndex(_IndexBase):
         last = self._list_edges(sp, ep, self.rmaxq, False, len(first), walked)
         pairs = []
         for d, lpos in first.items():
-            off = self._doc_offset(d)
+            # document d starts right after the (d)th separator
+            off = self.border.select(d) + 1 if d else 0
             lo = self.doc_isa.get(d, lpos - off)
             hi = self.doc_isa.get(d, last[d] - off)
             pairs.append((d, hi - lo + 1))
         pairs.sort(key=lambda p: (-p[1], p[0]))
         return pairs
 
-    def _query_symbols(self, symbols, k, ranking):
-        pairs = self._ranked(symbols)
-        return _score_hits(pairs, k, ranking, self.n_docs, len(pairs))
-
-    def _df_symbols(self, symbols):
-        hit = self.csa.backward_search(symbols)
-        if hit is None:
-            return 0
-        return len(self._list_edges(*hit, self.rminq, True, self.n_docs, {}))
-
-    def _frame(self):
-        return serialize.Frame(
-            serialize.MAGIC_INDEX, 0, self.n, _U64.pack(self.n_docs),
-            [
-                ("alphabet", self.alphabet),
-                ("csa_psi", self.csa),
-                ("doc_borders", self.border),
-                ("doc_isa", self.doc_isa),
-                ("first_occ_rmq", self.rminq),
-                ("last_occ_rmq", self.rmaxq),
-            ],
-        )
+    def _df_interval(self, sp, ep):
+        return len(self._list_edges(sp, ep, self.rminq, True, self.n_docs, {}))
 
     @classmethod
     def deserialize(cls, f, n, n_docs):
-        alphabet = read_alphabet(f)
-        csa = CsaPsi.deserialize(f)
+        alphabet, csa = read_alphabet(f), read_csa(f)
         border = BackedBits.deserialize(f)
         doc_isa = DocIsaTable.deserialize(f)
         rminq = RmqSct.deserialize(f)
         rmaxq = RmaxSct.deserialize(f)
-        return cls(csa, alphabet, border, doc_isa, rminq, rmaxq, n_docs)
+        _expect(
+            len(doc_isa) == border.count_ones() == n_docs
+            and len(border) == rminq.n == rmaxq.n == n,
+            "document borders, ISA tables or RMQs",
+        )
+        return cls(csa, alphabet, n_docs, border, doc_isa, rminq, rmaxq)
 
 
 class GreedyIndex(_IndexBase):
     algo = "greedy"
+    _doc_parts = (("doc_wavelet", "doc_wt"),)
 
-    def __init__(self, csa, alphabet, doc_wt, n_docs):
-        self.csa = csa
-        self.alphabet = alphabet
-        self.doc_wt = doc_wt
-        self.n_docs = n_docs
-        self.n = csa.n
-
-    def _query_symbols(self, symbols, k, ranking):
-        hit = self.csa.backward_search(symbols)
-        if hit is None:
-            return []
-        sp, ep = hit
+    def _query_interval(self, sp, ep, k, ranking):
         wt = self.doc_wt
-        root = wt.root()
-        heap = [(-(ep + 1 - sp), 0, root, sp, ep + 1)]
+        heap = [(-(ep + 1 - sp), 0, wt.root(), sp, ep + 1)]
         pairs = []
         while heap and len(pairs) < k:
             neg, _, node, qlo, qhi = heapq.heappop(heap)
@@ -257,45 +261,24 @@ class GreedyIndex(_IndexBase):
             distinct -= 1
         return distinct
 
-    def _df_symbols(self, symbols):
-        hit = self.csa.backward_search(symbols)
-        if hit is None:
-            return 0
-        return self._df_interval(*hit)
-
-    def _frame(self):
-        return serialize.Frame(
-            serialize.MAGIC_INDEX, 1, self.n, _U64.pack(self.n_docs),
-            [
-                ("alphabet", self.alphabet),
-                ("csa_wt", self.csa),
-                ("doc_wavelet", self.doc_wt),
-            ],
-        )
-
     @classmethod
     def deserialize(cls, f, n, n_docs):
-        alphabet = read_alphabet(f)
-        csa = CsaWt.deserialize(f)
+        alphabet, csa = read_alphabet(f), read_csa(f)
         doc_wt = WaveletTree.deserialize(f)
-        return cls(csa, alphabet, doc_wt, n_docs)
+        # row 0 is the global terminator's suffix, in no document
+        _expect(
+            doc_wt.n == n > 0 and doc_wt.sigma == n_docs + 1
+            and doc_wt.access(0) == n_docs,
+            "document wavelet tree",
+        )
+        return cls(csa, alphabet, n_docs, doc_wt)
 
 
 class SortIndex(_IndexBase):
     algo = "sort"
+    _doc_parts = (("doc_array", "doc_iv"),)
 
-    def __init__(self, csa, alphabet, doc_iv, n_docs):
-        self.csa = csa
-        self.alphabet = alphabet
-        self.doc_iv = doc_iv
-        self.n_docs = n_docs
-        self.n = csa.n
-
-    def _ranked(self, symbols):
-        hit = self.csa.backward_search(symbols)
-        if hit is None:
-            return []
-        sp, ep = hit
+    def _ranked(self, sp, ep):
         ds = self.doc_iv.to_numpy(sp, ep + 1).astype(np.int64)
         counts = np.bincount(ds, minlength=self.n_docs + 1)[: self.n_docs]
         docs = np.flatnonzero(counts)
@@ -303,29 +286,13 @@ class SortIndex(_IndexBase):
         order = np.lexsort((docs, -tfs))
         return [(int(docs[i]), int(tfs[i])) for i in order]
 
-    def _query_symbols(self, symbols, k, ranking):
-        pairs = self._ranked(symbols)
-        return _score_hits(pairs, k, ranking, self.n_docs, len(pairs))
-
-    def _df_symbols(self, symbols):
-        return len(self._ranked(symbols))
-
-    def _frame(self):
-        return serialize.Frame(
-            serialize.MAGIC_INDEX, 2, self.n, _U64.pack(self.n_docs),
-            [
-                ("alphabet", self.alphabet),
-                ("csa_wt", self.csa),
-                ("doc_array", self.doc_iv),
-            ],
-        )
-
     @classmethod
     def deserialize(cls, f, n, n_docs):
-        alphabet = read_alphabet(f)
-        csa = CsaWt.deserialize(f)
+        alphabet, csa = read_alphabet(f), read_csa(f)
         doc_iv = IntVector.deserialize(f)
-        return cls(csa, alphabet, doc_iv, n_docs)
+        # row 0 is the global terminator's suffix, in no document
+        _expect(doc_iv.n == n > 0 and doc_iv[0] == n_docs, "document array")
+        return cls(csa, alphabet, n_docs, doc_iv)
 
 
 _INDEX_CLASSES = {0: SadaIndex, 1: GreedyIndex, 2: SortIndex}
@@ -338,7 +305,9 @@ def read_index(f):
         cls = _INDEX_CLASSES[algo_id]
     except KeyError:
         raise serialize.FormatError(f"unknown index layout id {algo_id}")
-    return cls.deserialize(f, n, n_docs)
+    index = cls.deserialize(f, n, n_docs)
+    _expect(index.csa.n == n, "suffix array length")
+    return index
 
 
 def load_index(path):
@@ -354,6 +323,21 @@ def _dump_temp(temp_dir, name, obj):
         obj.serialize(f)
 
 
+def _sa_phase(collection, temp_dir):
+    """The monitored `sa` phase: the packed suffix array."""
+    with memory_monitor.phase("sa"):
+        _, sa_iv = build_suffix_array(collection.text)
+        _dump_temp(temp_dir, "sa.iv", sa_iv)
+    return sa_iv
+
+
+def _doc_array(collection, sa_iv, temp_dir):
+    """The packed document array D, D[i] = document of suffix SA[i]."""
+    d_iv = d_from_sa(sa_iv, collection.sharp_positions, collection.n_docs)
+    _dump_temp(temp_dir, "d.iv", d_iv)
+    return d_iv
+
+
 def build_sada(collection, sample_rate=32, temp_dir=None):
     """Build the document-listing index, in seven monitored phases.
 
@@ -363,9 +347,7 @@ def build_sada(collection, sample_rate=32, temp_dir=None):
     mm = memory_monitor
     text_iv = collection.packed_text()
     n = collection.n
-    with mm.phase("sa"):
-        _, sa_iv = build_suffix_array(collection.text)
-        _dump_temp(temp_dir, "sa.iv", sa_iv)
+    sa_iv = _sa_phase(collection, temp_dir)
     with mm.phase("bwt"):
         bwt_iv = bwt_from_sa(text_iv, sa_iv)
         _dump_temp(temp_dir, "bwt.iv", bwt_iv)
@@ -379,8 +361,7 @@ def build_sada(collection, sample_rate=32, temp_dir=None):
             sa_iv, collection.offsets, collection.lengths
         )
     with mm.phase("d"):
-        d_iv = d_from_sa(sa_iv, collection.sharp_positions, collection.n_docs)
-        _dump_temp(temp_dir, "d.iv", d_iv)
+        d_iv = _doc_array(collection, sa_iv, temp_dir)
         border = BackedBits(
             BitVector.from_positions(collection.sharp_positions, n),
             select1=True,
@@ -397,52 +378,44 @@ def build_sada(collection, sample_rate=32, temp_dir=None):
         rmaxq = RmaxSct(next_occ)
         del next_occ
     return SadaIndex(
-        csa, collection.alphabet, border, doc_isa, rminq, rmaxq,
-        collection.n_docs,
+        csa, collection.alphabet, collection.n_docs, border, doc_isa, rminq,
+        rmaxq,
     )
 
 
-def _default_rate(n):
-    return min(1 << 20, n)
+def _build_over_bwt_wavelet(cls, collection, sample_rate, temp_dir, doc_part):
+    """The `sa`, `bwt` and `d` phases of greedy and sort; `doc_part` makes
+    the layout's document structure from D. By default one SA sample per
+    2^20 rows."""
+    mm = memory_monitor
+    text_iv = collection.packed_text()
+    rate = min(1 << 20, collection.n) if sample_rate is None else sample_rate
+    sa_iv = _sa_phase(collection, temp_dir)
+    with mm.phase("bwt"):
+        csa = CsaWt.build(text_iv, sa_iv, collection.sigma_total, rate)
+    with mm.phase("d"):
+        d_iv = _doc_array(collection, sa_iv, temp_dir)
+        del sa_iv
+        docs = doc_part(d_iv)
+        del d_iv
+    return cls(csa, collection.alphabet, collection.n_docs, docs)
 
 
 def build_greedy(collection, sample_rate=None, temp_dir=None):
-    mm = memory_monitor
-    text_iv = collection.packed_text()
-    n = collection.n
-    rate = _default_rate(n) if sample_rate is None else sample_rate
-    with mm.phase("sa"):
-        _, sa_iv = build_suffix_array(collection.text)
-        _dump_temp(temp_dir, "sa.iv", sa_iv)
-    with mm.phase("bwt"):
-        csa = CsaWt.build(text_iv, sa_iv, collection.sigma_total, rate)
-    with mm.phase("d"):
-        d_iv = d_from_sa(sa_iv, collection.sharp_positions, collection.n_docs)
-        _dump_temp(temp_dir, "d.iv", d_iv)
-        del sa_iv
-        doc_wt = WaveletTree(
+    return _build_over_bwt_wavelet(
+        GreedyIndex, collection, sample_rate, temp_dir,
+        lambda d_iv: WaveletTree(
             d_iv.to_numpy().astype(np.int64),
             sigma=collection.n_docs + 1,
             backend="rrr",
-        )
-        del d_iv
-    return GreedyIndex(csa, collection.alphabet, doc_wt, collection.n_docs)
+        ),
+    )
 
 
 def build_sort(collection, sample_rate=None, temp_dir=None):
-    mm = memory_monitor
-    text_iv = collection.packed_text()
-    rate = _default_rate(collection.n) if sample_rate is None else sample_rate
-    with mm.phase("sa"):
-        _, sa_iv = build_suffix_array(collection.text)
-        _dump_temp(temp_dir, "sa.iv", sa_iv)
-    with mm.phase("bwt"):
-        csa = CsaWt.build(text_iv, sa_iv, collection.sigma_total, rate)
-    with mm.phase("d"):
-        d_iv = d_from_sa(sa_iv, collection.sharp_positions, collection.n_docs)
-        _dump_temp(temp_dir, "d.iv", d_iv)
-        del sa_iv
-    return SortIndex(csa, collection.alphabet, d_iv, collection.n_docs)
+    return _build_over_bwt_wavelet(
+        SortIndex, collection, sample_rate, temp_dir, lambda d_iv: d_iv
+    )
 
 
 _BUILDERS = {"sada": build_sada, "greedy": build_greedy, "sort": build_sort}

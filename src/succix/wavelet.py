@@ -354,10 +354,6 @@ class WaveletTreeHuff(_WaveletBase):
                 node = self.children[node][bit][1]
         return i
 
-    def symbol_counts(self):
-        """{symbol: total occurrences} from the root structure."""
-        return {c: self.rank(self.n, c) for c in self.codes}
-
     def _frame(self):
         syms = sorted(self.codes)
         head = struct.pack("<BH", _BACKEND_IDS[self.backend], len(syms))

@@ -15,6 +15,7 @@ from succix.construct import (
     build_suffix_array,
     bwt_from_sa,
     d_from_sa,
+    doc_of_positions,
     prev_next_occurrence,
     psi_from_bwt,
     read_alphabet,
@@ -101,8 +102,7 @@ class TestCollection:
         assert coll.lengths.tolist() == ex.LENGTHS
         assert coll.sharp_positions.tolist() == ex.SHARP_POSITIONS
         assert coll.sigma_total == 4
-        assert coll.count_table().tolist() == ex.CNT
-        assert [coll.doc_of_position(p) for p in range(8)] == [
+        assert doc_of_positions(coll.sharp_positions, 8).tolist() == [
             0, 0, 0, 0, 1, 1, 1, 2,
         ]
 

@@ -6,7 +6,10 @@ import pytest
 
 from succix.construct import ByteAlphabet, Collection, WordAlphabet
 from succix.docindex import (
+    GreedyIndex,
     Hit,
+    SadaIndex,
+    SortIndex,
     build_greedy,
     build_index,
     build_sada,
@@ -282,3 +285,64 @@ def test_sada_pattern_in_every_document():
             assert [(h.doc, h.tf) for h in got] == expected[:k], (pattern, k)
             assert got == sort.query(pattern, k)
     assert sada.df(b"a") == n_docs
+
+
+def compositions(coll):
+    """Every layout over either CSA: the document parts of each built index
+    combined with the CsaPsi of sada's build and the CsaWt of sort's."""
+    sada = build_sada(coll, sample_rate=4)
+    greedy = build_greedy(coll, sample_rate=4)
+    sort = build_sort(coll, sample_rate=4)
+    args = (coll.alphabet, coll.n_docs)
+    for csa in (sada.csa, sort.csa):
+        yield SadaIndex(
+            csa, *args, sada.border, sada.doc_isa, sada.rminq, sada.rmaxq
+        )
+        yield GreedyIndex(csa, *args, greedy.doc_wt)
+        yield SortIndex(csa, *args, sort.doc_iv)
+
+
+@pytest.mark.parametrize("mode", ["byte", "word"])
+def test_every_composition_saves_loads_and_agrees(mode, tmp_path):
+    rng = np.random.default_rng(1113 if mode == "byte" else 1114)
+    if mode == "byte":
+        docs = random_docs(rng, 14, 50)
+        coll = Collection(docs, ByteAlphabet.from_docs(docs))
+    else:
+        vocab = [f"w{i}" for i in range(6)]
+        docs = [
+            [vocab[i] for i in rng.integers(0, 6, int(rng.integers(1, 30)))]
+            for _ in range(14)
+        ]
+        coll = Collection(docs, WordAlphabet.from_docs(docs))
+    flat = [list(doc) for doc in docs]
+    joined = [s for doc in flat for s in doc]
+    patterns = []
+    for m in (1, 1, 2, 2, 3):
+        start = int(rng.integers(0, len(joined) - m))
+        patterns.append(joined[start : start + m])
+    sort = build_sort(coll)
+    seen = set()
+    for index in compositions(coll):
+        kind = type(index.csa)
+        seen.add((index.algo, kind.__name__))
+        assert [c.name for c in index.size_tree().children][:2] == [
+            "alphabet", index.csa._tag,
+        ]
+        path = tmp_path / f"{index.algo}-{kind.__name__}.idx"
+        n_bytes = index.save(path)
+        back = load_index(path)
+        assert (type(back), type(back.csa)) == (type(index), kind)
+        again = io.BytesIO()
+        assert back.serialize(again) == n_bytes
+        assert again.getvalue() == path.read_bytes()
+        for pattern in patterns:
+            raw = bytes(pattern) if mode == "byte" else pattern
+            expected = naive_pairs(flat, pattern)
+            for k in (1, 3, coll.n_docs):
+                for ranking in ("freq", "tfidf"):
+                    got = back.query(raw, k, ranking)
+                    assert got == sort.query(raw, k, ranking), (index.algo, kind)
+                    assert [(h.doc, h.tf) for h in got] == expected[:k]
+            assert back.df(raw) == sort.df(raw) == len(expected)
+    assert len(seen) == 6

@@ -276,3 +276,18 @@ def test_header_mutations_load_or_raise_format_error():
                 read_index(io.BytesIO(bytes(bad)))
             except serialize.FormatError:
                 pass
+
+
+def test_index_header_counts_must_match_the_parts():
+    """The index header's n and n_docs, set to 0, 3, true +- 1 or 2^40,
+    raise FormatError for every layout, whatever the CSA checks."""
+    rng = np.random.default_rng(2026)
+    for _, _, index, data in _small_indexes(rng):
+        assert read_index(io.BytesIO(data)).n_docs == index.n_docs
+        # bytes 10..17 of the header hold n; n_docs follows the header
+        for at, true in ((10, index.n), (serialize.HEADER_BYTES, index.n_docs)):
+            for value in {0, 3, true - 1, true + 1, 1 << 40} - {true}:
+                bad = bytearray(data)
+                bad[at : at + 8] = value.to_bytes(8, "little")
+                with pytest.raises(serialize.FormatError):
+                    read_index(io.BytesIO(bytes(bad)))

@@ -1,4 +1,6 @@
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from succix.corpus import (
     write_corpus,
     zipf_weights,
 )
-from succix.docindex import build_sort
+from succix.docindex import ALGOS, build_index, build_sort, load_index
 from succix.patterns import (
     gen_patterns,
     read_patterns,
@@ -142,3 +144,42 @@ def test_bench_rows_and_cutoff():
     assert lines[0] == "pattern_length\tcount\tavg_us\tmax_us\tomitted"
     assert len(lines) == 4
     assert lines[1].split("\t")[0] == "1"
+
+
+def _load_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_methods_are_defined_on_their_classes():
+    """The benchmark's tracer patches cls.__dict__[name]: a method moved to
+    a base class or out of the module must fail here first."""
+    spans = _load_spans()
+    for cls, attr, _ in spans.QUERY_TARGETS:
+        assert attr in cls.__dict__, (cls.__name__, attr)
+    for cls, attr in spans.LOAD_ROOTS:
+        assert attr in cls.__dict__, (cls.__name__, attr)
+    for cls in spans.LOAD_COMPONENTS:
+        assert "deserialize" in cls.__dict__, cls.__name__
+    assert callable(spans.docindex.read_alphabet)
+
+
+def test_traced_loads_read_every_top_level_component(tmp_path):
+    spans = _load_spans()
+    coll = Collection(DOCS, ByteAlphabet.from_docs(DOCS))
+    indexes = [build_index(algo, coll) for algo in ALGOS]
+    for index in indexes:
+        index.save(tmp_path / f"{index.algo}.idx")
+    tracer = spans.Tracer()
+    tracer.install_load()
+    try:
+        for index in indexes:
+            load_index(tmp_path / f"{index.algo}.idx")
+    finally:
+        tracer.uninstall()
+    assert tracer.components_read == [
+        len(index.size_tree().children) for index in indexes
+    ]
