@@ -372,7 +372,7 @@ def build_sada(collection, sample_rate=32, temp_dir=None):
     prev_occ, next_occ = prev_next_occurrence(d_arr)
     del d_arr
     with mm.phase("rminq_c"):
-        rminq = RmqSct(prev_occ.tolist())
+        rminq = RmqSct(prev_occ)
         del prev_occ
     with mm.phase("rmaxq_cprime"):
         rmaxq = RmaxSct(next_occ)

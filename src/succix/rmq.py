@@ -1,13 +1,26 @@
 """Succinct range-minimum queries in about 2.4 bits per element.
 
-The values are folded into a parenthesis sequence by a left-to-right
-stack pass (pop while the stack top is strictly greater, write ')' per
-pop, then '(' for the element), so equal runs keep their left-to-right
-order. A query (l, r) becomes: take the '(' positions a of l and b of r,
-find the rightmost position q in [a-1, b] minimizing the parenthesis
-excess E(q), and count opens up to q+1. A virtual E(-1) = 0 participates
-for l = 0 and wins only when strictly smaller. Ties in the values resolve
-to the leftmost minimum.
+The values (integers in int64) are folded into Fischer and Heun's
+parenthesis sequence: read left to right, each value closes one ')' for
+every earlier value still open that is strictly greater, then opens its
+own '('. A value j is closed by its next strictly smaller value nse(j),
+so value i opens at position i + #{j : nse(j) <= i}, and equal runs keep
+their left-to-right order. A query (l, r) becomes: take the '(' positions
+a of l and b of r, find the rightmost position q in [a-1, b] minimizing
+the parenthesis excess E(q), and count opens up to q+1. A virtual
+E(-1) = 0 participates for l = 0 and wins only when strictly smaller.
+Ties in the values resolve to the leftmost minimum.
+
+The next-smaller pass makes a bounded number of whole-array rounds
+(after Berkman, Schieber and Vishkin's all-nearest-smaller-values): 12
+pointer-jumping rounds over the positions still open; then, for what is
+left, a scan of the rest of the candidate's 64-value block (its 8-value
+group, then the minima of the block's later groups), a binary-lifting
+descent over a sparse table of block minima, and a scan of the group it
+finds. The Python loops run over the 12 rounds, the 8 offsets of a scan
+step and the log2(n/64) levels of the table, never over values. The
+scratch arrays are O(n) words: n/8 group minima and a sparse table of
+(n/64) log2(n/64) block minima, not n log2 n values.
 
 Besides the bit sequence and its rank/select directories, three levels of
 relative min-prefix-excess summaries (per 64-bit word, per 4096 bits, per
@@ -40,32 +53,130 @@ del _b, _j, _e, _mn, _arg
 _MINPRE16 = np.array(_MINPRE8, dtype=np.int32)
 _DELTA16 = np.array(_DELTA8, dtype=np.int32)
 
+# pointer-jumping rounds before the block scans take over; each round
+# costs a few passes over the positions still open
+_JUMP_ROUNDS = 12
+
+
+def _int64_values(values):
+    """The values as a 1-d int64 array; ValueError for anything else."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError("RMQ values must be a 1-d sequence")
+    if arr.size == 0:
+        raise ValueError("cannot build over an empty array")
+    kind = arr.dtype.kind
+    if kind not in "iu" or (kind == "u" and int(arr.max()) >= 1 << 63):
+        raise ValueError(
+            f"RMQ values must be integers in the int64 range, got {arr.dtype}"
+        )
+    return arr.astype(np.int64, copy=False)
+
+
+def _padded(values):
+    """The values in the narrowest signed dtype that holds them, followed
+    by their minimum up to a whole number of 64-value blocks (at least
+    one padded slot), so that position n reads as 'no next smaller'."""
+    lo, hi = int(values.min()), int(values.max())
+    dtype = next(
+        t for t in (np.int8, np.int16, np.int32, np.int64)
+        if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max
+    )
+    n = len(values)
+    vals = np.full((n // 64 + 1) * 64, lo, dtype=dtype)
+    vals[:n] = values
+    return vals
+
+
+def _pointer_jump(vals, n):
+    """The first _JUMP_ROUNDS rounds of the next-smaller pass.
+
+    Returns (nse, act, q): nse[i] for every position, final except at the
+    positions act still open, whose candidate q = nse[act] is a value not
+    smaller than theirs with every value between them not smaller either.
+    """
+    nse = np.arange(1, n + 2, dtype=np.intp)
+    nse[n] = n
+    at_min = vals[:n] == vals[n]
+    nse[:n][at_min] = n
+    act = np.flatnonzero((vals[1 : n + 1] >= vals[:n]) & ~at_min)
+    va = vals[act]
+    q = act + 1
+    for _ in range(_JUMP_ROUNDS):
+        if not len(act):
+            break
+        q = nse[q]
+        nse[act] = q
+        keep = vals[q] >= va
+        act, va, q = act[keep], va[keep], q[keep]
+    return nse, act, q
+
+
+def _first_below(arr, base, lo, va):
+    """Per row, the smallest o in [lo, 8) with arr[base + o] < va, or 8."""
+    found = np.full(len(base), 8, dtype=np.intp)
+    for o in range(7, -1, -1):
+        hit = arr[base + o] < va
+        hit &= lo <= o
+        found[hit] = o
+    return found
+
+
+def _next_smaller(values):
+    """nse[i] = the first j > i with values[j] < values[i], or n."""
+    n = len(values)
+    vals = _padded(values)
+    nse, act, q = _pointer_jump(vals, n)
+    # An open position's answer is the first value below its own from
+    # q + 1 on. Search the rest of that start's 8-value group, then the
+    # rest of its 64-value block by group minima, then the later blocks
+    # by a sparse table of block minima, then the group found. Position
+    # n holds the padded minimum, below every open value, so each search
+    # lands at n at the latest.
+    va = vals[act]
+    g = (q + 1) >> 3
+    off = _first_below(vals, g << 3, (q + 1) & 7, va)
+    hit = off < 8
+    nse[act[hit]] = (g[hit] << 3) + off[hit]
+    act, va, g = act[~hit], va[~hit], g[~hit]
+    groups = vals.reshape(-1, 8).min(axis=1)
+    off = _first_below(groups, g & ~7, (g & 7) + 1, va)
+    g = (g & ~7) + off
+    later = off == 8
+    mins = [groups.reshape(-1, 8).min(axis=1)]
+    nb = len(mins[0])
+    while 1 << len(mins) <= nb:
+        prev, h = mins[-1], 1 << (len(mins) - 1)
+        nxt = prev.copy()
+        np.minimum(prev[:-h], prev[h:], out=nxt[:-h])
+        mins.append(nxt)
+    blk, vb = g[later] >> 3, va[later]
+    for k in range(len(mins) - 1, -1, -1):
+        blk[mins[k][blk] >= vb] += 1 << k
+    g[later] = (blk << 3) + _first_below(groups, blk << 3, 0, vb)
+    nse[act] = (g << 3) + _first_below(vals, g << 3, 0, va)
+    return nse
+
 
 class RmqSct(serialize.Framed):
     """Range minimum (leftmost tie) over a fixed array of values.
 
-    The values themselves are not stored; only their ordering structure.
-    Build over negated values to get a range-maximum structure.
+    The values (integers in int64) are not stored; only their ordering
+    structure. RmaxSct builds one over complemented values for maxima.
     """
 
     _tag = "rmq"
 
     def __init__(self, values):
-        values = list(values)
-        n = len(values)
-        if n == 0:
-            raise ValueError("cannot build over an empty array")
-        self.n = n
+        values = _int64_values(values)
+        self.n = n = len(values)
+        opens = np.bincount(_next_smaller(values)[:n], minlength=n + 1)
+        np.cumsum(opens, out=opens)
+        opens = opens[:n]
+        opens += np.arange(n)
         bits = np.zeros(2 * n, dtype=bool)
-        stack = []
-        pos = 0
-        for v in values:
-            while stack and stack[-1] > v:
-                stack.pop()
-                pos += 1
-            bits[pos] = True
-            pos += 1
-            stack.append(v)
+        bits[opens] = True
+        del opens
         self.bp = BackedBits(BitVector(bits), select1=True)
         self._build_dirs()
         self._finish()
@@ -268,13 +379,14 @@ class RmqSct(serialize.Framed):
 
 
 class RmaxSct(serialize.Framed):
-    """Range maximum (leftmost tie), by negating values into an RmqSct."""
+    """Range maximum (leftmost tie), as an RmqSct over the complemented
+    values: ~v = -v - 1 reverses the order of int64 and keeps ties."""
 
     _tag = "rmax"
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=np.int64)
-        self._rmq = RmqSct((-values).tolist())
+        values = _int64_values(values)
+        self._rmq = RmqSct(~values)
         self.n = len(values)
 
     def __len__(self):

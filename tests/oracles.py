@@ -95,6 +95,37 @@ def rmq(values, l, r):
     return best
 
 
+def rmq_parentheses(values):
+    """Fischer and Heun's parenthesis sequence by the left-to-right stack
+    pass: pop while the stack top is strictly greater, writing ')' per
+    pop, then '(' for the value. Returns 2n bools, True for '('."""
+    values = [int(v) for v in values]
+    bits = [False] * (2 * len(values))
+    stack = []
+    pos = 0
+    for v in values:
+        while stack and stack[-1] > v:
+            stack.pop()
+            pos += 1
+        bits[pos] = True
+        pos += 1
+        stack.append(v)
+    return bits
+
+
+def next_smaller(values):
+    """nse[i] = first j > i with values[j] < values[i], or len(values)."""
+    values = [int(v) for v in values]
+    n = len(values)
+    nse = [n] * n
+    stack = []
+    for j, v in enumerate(values):
+        while stack and values[stack[-1]] > v:
+            nse[stack.pop()] = j
+        stack.append(j)
+    return nse
+
+
 def rmaxq(values, l, r):
     """Position of the leftmost maximum in values[l..r] inclusive."""
     best = l

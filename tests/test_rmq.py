@@ -4,10 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
-from succix import serialize
+from succix import rmq, serialize
 from succix.rmq import RmaxSct, RmqSct
 
-from oracles import rmaxq as naive_rmaxq, rmq as naive_rmq
+from oracles import (
+    next_smaller,
+    rmaxq as naive_rmaxq,
+    rmq as naive_rmq,
+    rmq_parentheses,
+)
 
 
 def test_three_element_example():
@@ -51,6 +56,7 @@ def test_exhaustive_small_arrays():
     for n in range(1, 8):
         for values in itertools.product(range(3), repeat=n):
             rm = RmqSct(values)
+            assert rm.bp.bits.to_bool().tolist() == rmq_parentheses(values)
             for l in range(n):
                 for r in range(l, n):
                     expect = naive_rmq(values, l, r)
@@ -156,3 +162,107 @@ def test_space_within_budget():
     rm = RmqSct(rng.integers(0, 1 << 40, size=n).tolist())
     bits_per_element = rm.serialized_bytes() * 8 / n
     assert bits_per_element <= 3.2
+
+
+I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _assert_parentheses(values):
+    """The next-smaller construction writes the stack pass's bits."""
+    bits = RmqSct(np.asarray(values, dtype=np.int64)).bp.bits.to_bool()
+    assert bits.tolist() == rmq_parentheses(values), values[:16]
+
+
+def _shapes(n, rng):
+    i = np.arange(n, dtype=np.int64)
+    return {
+        "increasing": i,
+        "decreasing": i[::-1].copy(),
+        "constant": np.full(n, 7, dtype=np.int64),
+        "sawtooth": i % 64,
+        "sawtooth_down": (-i) % 100,
+        "zigzag": np.where(i % 2, n - i, i),
+        "v_shape": np.abs(i - n // 2),
+        "peak": -np.abs(i - n // 2),
+        "ties": rng.integers(0, 3, n),
+        "extremes": rng.choice([I64_MIN, I64_MIN + 1, -1, 0, I64_MAX], n),
+        "random_int64": rng.integers(I64_MIN, I64_MAX, n, endpoint=True),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 4095, 4097, 262_145])
+def test_parentheses_match_stack_pass(n):
+    rng = np.random.default_rng(n)
+    for values in _shapes(n, rng).values():
+        _assert_parentheses(values.tolist())
+
+
+def _staircase(steps, tie=False):
+    """Steps that fall by one, each a value c followed by the run c + L,
+    c + L - 1, ..., c + 1: the pointer of c walks that run one value per
+    round, so it stays open for L rounds. With tie, the middle of each
+    run equals c, so some blocks before the answer hold c's value."""
+    out = []
+    c = 1 << 40
+    for length in steps:
+        run = list(range(c + length, c, -1))
+        if tie:
+            run[length // 2] = c
+        out += [c] + run
+        c -= 1
+    return out + [c]
+
+
+@pytest.mark.parametrize("tie", [False, True])
+def test_staircase_beyond_the_jumping_rounds(tie):
+    steps = [20, 40, 3, 900, 30, 5000, 2, 300, 13, 14, 15, 16]
+    values = _staircase(steps, tie)
+    arr = np.asarray(values, dtype=np.int64)
+    n = len(arr)
+    expect = next_smaller(values)
+    assert rmq._next_smaller(arr)[:n].tolist() == expect
+    _assert_parentheses(values)
+    # the case is only useful if every step of the pass runs: some open
+    # positions resolve in the 8-value group where their search starts,
+    # some later in that 64-value block, the others by lifting
+    _, act, q = rmq._pointer_jump(rmq._padded(arr), n)
+    answers = np.asarray(expect)[act]
+    in_group = (answers >> 3) == ((q + 1) >> 3)
+    in_block = (answers >> 6) == ((q + 1) >> 6)
+    assert in_group.any()
+    assert (in_block & ~in_group).any()
+    assert (~in_block).any()
+
+
+def test_rmax_complements_int64_extremes():
+    """-(-2**63) overflows back to -2**63; ~v keeps the order reversed."""
+    rm = RmaxSct([0, I64_MIN, 5])
+    assert rm.query(0, 2) == 2
+    assert rm.query(0, 1) == 0
+    values = [I64_MIN, I64_MAX, I64_MIN, 3, I64_MAX, -1]
+    rm = RmaxSct(values)
+    for l in range(6):
+        for r in range(l, 6):
+            assert rm.query(l, r) == naive_rmaxq(values, l, r)
+
+
+@pytest.mark.parametrize("cls", [RmqSct, RmaxSct])
+def test_rejects_values_outside_int64(cls):
+    for bad in (
+        [1.0, 2.0],
+        [1, 2.5],
+        np.array([0.5, 1.5]),
+        [True, False],
+        [1 << 63],
+        [0, 1 << 64],
+        np.array([1 << 63], dtype=np.uint64),
+        [[1, 2], [3, 4]],
+    ):
+        with pytest.raises(ValueError):
+            cls(bad)
+
+
+def test_accepts_unsigned_values_within_int64():
+    values = np.array([I64_MAX, 0, 5], dtype=np.uint64)
+    assert RmqSct(values).query(0, 2) == 1
+    assert RmaxSct(values).query(0, 2) == 0
