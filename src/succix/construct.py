@@ -180,24 +180,15 @@ class Collection:
         self.n_docs = len(docs)
         encoded = [alphabet.encode_doc(d) for d in docs]
         lengths = np.array([len(e) for e in encoded], dtype=np.int64)
-        n = int(lengths.sum()) + self.n_docs + 1
-        T = np.empty(n, dtype=np.int64)
-        offsets = np.empty(self.n_docs, dtype=np.int64)
-        sharps = np.empty(self.n_docs, dtype=np.int64)
-        pos = 0
-        for d, ids in enumerate(encoded):
-            offsets[d] = pos
-            T[pos : pos + len(ids)] = ids
-            pos += len(ids)
-            T[pos] = DOC_TERMINATOR
-            sharps[d] = pos
-            pos += 1
-        T[pos] = GLOBAL_TERMINATOR
-        self.text = T
-        self.n = n
-        self.offsets = offsets
+        sep, end = np.array([DOC_TERMINATOR]), np.array([GLOBAL_TERMINATOR])
+        self.text = np.concatenate(
+            [part for ids in encoded for part in (ids, sep)] + [end],
+            dtype=np.int64,
+        )
+        self.n = len(self.text)
+        self.sharp_positions = np.cumsum(lengths + 1) - 1
+        self.offsets = self.sharp_positions - lengths
         self.lengths = lengths
-        self.sharp_positions = sharps
         self.sigma_total = alphabet.sigma + FIRST_SYMBOL
 
     @classmethod

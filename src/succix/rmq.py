@@ -22,15 +22,19 @@ step and the log2(n/64) levels of the table, never over values. The
 scratch arrays are O(n) words: n/8 group minima and a sparse table of
 (n/64) log2(n/64) block minima, not n log2 n values.
 
-Besides the bit sequence and its rank/select directories, three levels of
-relative min-prefix-excess summaries (per 64-bit word, per 4096 bits, per
-262144 bits) bound every query to a few short scans.
+Besides the bit sequence and its rank/select directories, each row of
+_LEVELS keeps a relative min-prefix-excess summary per unit of its size,
+folded from the level below. A query scans its end words bit by bit and
+splits the rest into a head, a middle of whole next-level units and a
+tail (_span); a scan takes the rightmost unit reaching the least excess
+and descends to one word (_scan), as in Navarro and Sadakane's range
+min-max tree.
 """
 
 import numpy as np
 
 from . import serialize
-from .bits import BackedBits, BitVector, IntVector
+from .bits import BackedBits, BitVector, IntVector, RankSupport
 from .monitor import register_allocation
 
 _M64 = (1 << 64) - 1
@@ -49,9 +53,25 @@ for _b in range(256):
     _DELTA8.append(_e)
 del _b, _j, _e, _mn, _arg
 
-# the same tables as arrays, for the directory build
-_MINPRE16 = np.array(_MINPRE8, dtype=np.int32)
-_DELTA16 = np.array(_DELTA8, dtype=np.int32)
+# the least prefix excess and the total excess of every 16-bit string,
+# low byte first, for the directory build
+_lo, _hi = np.arange(1 << 16) & 255, np.arange(1 << 16) >> 8
+_m8, _d8 = np.array(_MINPRE8), np.array(_DELTA8)
+_MINPRE16 = np.minimum(_m8[_lo], _d8[_lo] + _m8[_hi]).astype(np.int8)
+_DELTA16 = (_d8[_lo] + _d8[_hi]).astype(np.int8)
+del _lo, _hi, _m8, _d8
+
+# The min-excess levels, finest first: frame part name, bits per unit,
+# stored width and in-memory dtype. A unit's summary is the least excess
+# of a prefix of it, relative to the excess before it; it is stored plus
+# the unit's bits, so never negative. _FANS[k] = units of level k in one
+# unit of level k + 1.
+_LEVELS = (
+    ("word_mins", 64, 8, np.int8),
+    ("group_mins", 4096, 13, np.int16),
+    ("super_mins", 262144, 19, np.int32),
+)
+_FANS = tuple(hi[1] // lo[1] for lo, hi in zip(_LEVELS, _LEVELS[1:]))
 
 # pointer-jumping rounds before the block scans take over; each round
 # costs a few passes over the positions still open
@@ -182,46 +202,32 @@ class RmqSct(serialize.Framed):
         self._finish()
 
     def _build_dirs(self):
-        words = self.bp.bits.words
-        nwords = len(words)
-        n_bp = self.bp.bits.n
-        ngroups = -(-nwords // 64) if nwords else 1
-        nsupers = -(-ngroups // 64)
-        buf = np.full(nsupers * 64 * 64, _M64, dtype=np.uint64)
-        buf[:nwords] = words
-        tail = n_bp & 63
+        """Fold the 16-bit tables into each level of _LEVELS in turn.
+        Bits past the end read as opens and a level's last unit is padded
+        with zero summaries: neither goes below the excess of the whole
+        prefix before it, so neither sets a minimum."""
+        words = self.bp.bits.words.copy()
+        tail = self.bp.bits.n & 63
         if tail:
-            buf[nwords - 1] |= np.uint64(_M64 ^ ((1 << tail) - 1))
-        cols = buf.view(np.uint8).reshape(-1, 8)
-        cur = np.zeros(len(buf), dtype=np.int32)
-        wmin = np.full(len(buf), 127, dtype=np.int32)
-        for k in range(8):
-            col = cols[:, k]
-            np.minimum(wmin, cur + _MINPRE16[col], out=wmin)
-            cur += _DELTA16[col]
-        wdelta = cur
-        w2d_min = wmin.reshape(-1, 64)
-        w2d_delta = wdelta.reshape(-1, 64)
-        wcum = np.zeros_like(w2d_delta)
-        np.cumsum(w2d_delta[:, :-1], axis=1, out=wcum[:, 1:])
-        gmin = (wcum + w2d_min).min(axis=1)
-        gdelta = w2d_delta.sum(axis=1)
-        g2d_min = gmin.reshape(-1, 64)
-        g2d_delta = gdelta.reshape(-1, 64)
-        gcum = np.zeros_like(g2d_delta)
-        np.cumsum(g2d_delta[:, :-1], axis=1, out=gcum[:, 1:])
-        smin = (gcum + g2d_min).min(axis=1)
-        self._wordmin = wmin[:nwords].astype(np.int8)
-        self._l1min = gmin[: -(-nwords // 64)].astype(np.int16)
-        self._l2min = smin.astype(np.int32)
+            words[-1] |= np.uint64(_M64 ^ ((1 << tail) - 1))
+        halves = words.view(np.uint16)
+        mins, deltas, unit = _MINPRE16[halves], _DELTA16[halves], 16
+        self._mins = []
+        for _, bits, _, dtype in _LEVELS:
+            # one unit per column, its parts down the rows
+            fan = bits // unit
+            m, d = (
+                np.pad(a, (0, -len(a) % fan)).reshape(-1, fan).T
+                for a in (mins, deltas)
+            )
+            mins = (np.cumsum(d, axis=0, dtype=np.int32) - d + m).min(axis=0)
+            deltas = d.sum(axis=0, dtype=np.int32)
+            unit = bits
+            self._mins.append(mins.astype(dtype))
 
     def _finish(self):
         self._words = self.bp.bits._words
-        register_allocation(
-            self,
-            self._wordmin.nbytes + self._l1min.nbytes + self._l2min.nbytes,
-            "rmq",
-        )
+        register_allocation(self, sum(m.nbytes for m in self._mins), "rmq")
 
     def __len__(self):
         return self.n
@@ -249,34 +255,28 @@ class RmqSct(serialize.Framed):
             cur += _DELTA8[byte]
         return (widx << 6) + lo + best_pos, base + best_val
 
-    def _scan_words(self, wa, wb):
-        """Rightmost argmin over full words [wa, wb]."""
-        words = self.bp.bits.words[wa : wb + 1]
-        deltas = 2 * np.bitwise_count(words).astype(np.int64) - 64
-        se = np.zeros(len(words), dtype=np.int64)
-        np.cumsum(deltas[:-1], out=se[1:])
-        cands = se + self._wordmin[wa : wb + 1]
-        k = int(np.flatnonzero(cands == cands.min())[-1])
-        return self._word_argmin(wa + k, 0, 63)
-
-    def _scan_groups(self, ga, gb):
-        """Rightmost argmin over full 4096-bit groups [ga, gb]."""
-        g = np.arange(ga, gb + 1, dtype=np.int64)
-        abs_counts = self.bp.rank_support.abs_counts
-        se = 2 * abs_counts[2 * g] - (g << 12)
-        cands = se + self._l1min[ga : gb + 1]
-        k = int(np.flatnonzero(cands == cands.min())[-1])
-        group = ga + k
-        return self._scan_words(group << 6, (group << 6) + 63)
-
-    def _scan_supers(self, sa, sb):
-        s = np.arange(sa, sb + 1, dtype=np.int64)
-        abs_counts = self.bp.rank_support.abs_counts
-        se = 2 * abs_counts[128 * s] - (s << 18)
-        cands = se + self._l2min[sa : sb + 1]
-        k = int(np.flatnonzero(cands == cands.min())[-1])
-        sup = sa + k
-        return self._scan_groups(sup << 6, (sup << 6) + 63)
+    def _scan(self, level, a, b):
+        """Rightmost argmin of E over the whole units [a, b] of a level:
+        the last unit whose summary reaches the least excess, then down
+        through its parts to one word."""
+        bits = _LEVELS[level][1]
+        if level:
+            # the excess before each unit, from the rank directory
+            step = bits // RankSupport.SUPER_BITS
+            ones = self.bp.rank_support.abs_counts[a * step : (b + 1) * step : step]
+            ex = 2 * ones - np.arange(a * bits, (b + 1) * bits, bits)
+        else:
+            # the excess before each word, counted from word a
+            words = self.bp.bits.words[a : b + 1]
+            deltas = 2 * np.bitwise_count(words).astype(np.int64) - bits
+            ex = np.zeros(len(words), dtype=np.int64)
+            np.cumsum(deltas[:-1], out=ex[1:])
+        cands = ex + self._mins[level][a : b + 1]
+        k = a + int(np.flatnonzero(cands == cands.min())[-1])
+        if not level:
+            return self._word_argmin(k, 0, 63)
+        fan = _FANS[level - 1]
+        return self._scan(level - 1, k * fan, k * fan + fan - 1)
 
     @staticmethod
     def _rightmost(zones):
@@ -286,30 +286,20 @@ class RmqSct(serialize.Framed):
                 best = (pos, val)
         return best
 
-    def _middle_groups(self, ga, gb):
-        if gb - ga + 1 <= 128:
-            return self._scan_groups(ga, gb)
-        sa = -(-ga // 64)
-        sb = (gb + 1) // 64 - 1
+    def _span(self, level, a, b):
+        """Rightmost argmin of E over the whole units [a, b] of a level. A
+        span of more than two next-level units splits into a head, the
+        whole units of the next level, and a tail."""
+        if level == len(_FANS) or b - a + 1 <= 2 * _FANS[level]:
+            return self._scan(level, a, b)
+        fan = _FANS[level]
+        ua, ub = -(-a // fan), (b + 1) // fan - 1
         zones = []
-        if ga < sa * 64:
-            zones.append(self._scan_groups(ga, sa * 64 - 1))
-        zones.append(self._scan_supers(sa, sb))
-        if (sb + 1) * 64 <= gb:
-            zones.append(self._scan_groups((sb + 1) * 64, gb))
-        return self._rightmost(zones)
-
-    def _middle_words(self, wa, wb):
-        if wb - wa + 1 <= 128:
-            return self._scan_words(wa, wb)
-        ga = -(-wa // 64)
-        gb = (wb + 1) // 64 - 1
-        zones = []
-        if wa < ga * 64:
-            zones.append(self._scan_words(wa, ga * 64 - 1))
-        zones.append(self._middle_groups(ga, gb))
-        if (gb + 1) * 64 <= wb:
-            zones.append(self._scan_words((gb + 1) * 64, wb))
+        if a < ua * fan:
+            zones.append(self._scan(level, a, ua * fan - 1))
+        zones.append(self._span(level + 1, ua, ub))
+        if (ub + 1) * fan <= b:
+            zones.append(self._scan(level, (ub + 1) * fan, b))
         return self._rightmost(zones)
 
     def _argmin_excess(self, x, y):
@@ -328,7 +318,7 @@ class RmqSct(serialize.Framed):
             tail = self._word_argmin(wy, 0, y & 63)
             wb = wy - 1
         if wa <= wb:
-            zones.append(self._middle_words(wa, wb))
+            zones.append(self._span(0, wa, wb))
         if tail is not None:
             zones.append(tail)
         return self._rightmost(zones)
@@ -351,14 +341,11 @@ class RmqSct(serialize.Framed):
         return self.bp.rank(pos + 2) - 1
 
     def _frame(self):
-        return serialize.Frame(serialize.MAGIC_RMQ, 0, self.n, b"", [
-            ("parens", self.bp),
-            ("word_mins", IntVector(self._wordmin.astype(np.int64) + 64, 8)),
-            ("group_mins", IntVector(self._l1min.astype(np.int64) + 4096, 13)),
-            ("super_mins", IntVector(
-                self._l2min.astype(np.int64) + 262144, 19
-            )),
-        ])
+        parts = [("parens", self.bp)] + [
+            (name, IntVector(mins.astype(np.int64) + bits, width))
+            for (name, bits, width, _), mins in zip(_LEVELS, self._mins)
+        ]
+        return serialize.Frame(serialize.MAGIC_RMQ, 0, self.n, b"", parts)
 
     @classmethod
     def deserialize(cls, f):
@@ -368,12 +355,15 @@ class RmqSct(serialize.Framed):
         rm.bp = bp = BackedBits.deserialize(f)
         if len(bp) != 2 * n or bp.count_ones() != n or bp.select1_support is None:
             raise serialize.FormatError("parenthesis vector does not match n")
-        w = IntVector.deserialize(f)
-        g = IntVector.deserialize(f)
-        s = IntVector.deserialize(f)
-        rm._wordmin = (w.to_numpy().astype(np.int64) - 64).astype(np.int8)
-        rm._l1min = (g.to_numpy().astype(np.int64) - 4096).astype(np.int16)
-        rm._l2min = (s.to_numpy().astype(np.int64) - 262144).astype(np.int32)
+        rm._mins = []
+        for name, bits, _, dtype in _LEVELS:
+            mins = IntVector.deserialize(f).to_numpy().astype(np.int64) - bits
+            units = -(-2 * n // bits)
+            if len(mins) != units:
+                raise serialize.FormatError(
+                    f"{name} holds {len(mins)} values, not one per unit ({units})"
+                )
+            rm._mins.append(mins.astype(dtype))
         rm._finish()
         return rm
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from succix import rmq, serialize
+from succix.bits import IntVector
 from succix.rmq import RmaxSct, RmqSct
 
 from oracles import (
@@ -144,6 +145,35 @@ def test_load_rejects_mutated_n():
             RmqSct.deserialize(io.BytesIO(bytes(bad)))
 
 
+def _frame_bytes(frame):
+    buf = io.BytesIO()
+    serialize.write_header(buf, frame.magic, frame.width, frame.length)
+    for _, part in frame.parts:
+        part.serialize(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", ["word_mins", "group_mins", "super_mins"])
+@pytest.mark.parametrize("change", [-1, 1])
+def test_load_rejects_summary_of_wrong_length(name, change):
+    """The loader checks one summary value per unit: a summary one value
+    short or long would load, then fail queries with a broadcast error."""
+    rm = RmqSct(np.random.default_rng(8).integers(0, 50, size=20_000))
+    frame = rm._frame()
+    saved = io.BytesIO()
+    rm.serialize(saved)
+    assert _frame_bytes(frame) == saved.getvalue()
+    parts = []
+    for pname, part in frame.parts:
+        if pname == name:
+            values = part.to_numpy()
+            values = values[:-1] if change < 0 else np.append(values, values[-1])
+            part = IntVector(values, part.width)
+        parts.append((pname, part))
+    with pytest.raises(serialize.FormatError, match=name):
+        RmqSct.deserialize(io.BytesIO(_frame_bytes(frame._replace(parts=parts))))
+
+
 def test_rmax_roundtrip():
     values = [5, 1, 5, 2, 9, 9, 0]
     rm = RmaxSct(values)
@@ -266,3 +296,45 @@ def test_accepts_unsigned_values_within_int64():
     values = np.array([I64_MAX, 0, 5], dtype=np.uint64)
     assert RmqSct(values).query(0, 2) == 1
     assert RmaxSct(values).query(0, 2) == 0
+
+
+def _boundary_values(rm, n, bits):
+    """Values whose '(' is the first at or past a multiple of bits in the
+    parenthesis sequence, and their neighbours."""
+    ones = [rm.bp.rank(k * bits) for k in range(len(rm.bp) // bits + 1)]
+    return sorted({v for o in ones for v in (o - 1, o, o + 1) if 0 <= v < n})
+
+
+@pytest.mark.parametrize("shape", ["random", "increasing", "constant"])
+def test_spans_reaching_the_super_level(shape, monkeypatch):
+    """Ranges over more than 128 groups split into groups and whole
+    supers; their ends sit on word, group and super boundaries."""
+    n = 800_000
+    rng = np.random.default_rng(21)
+    values = {
+        "random": rng.integers(0, 1 << 40, size=n),
+        "increasing": np.arange(n),
+        "constant": np.full(n, 9),
+    }[shape]
+    rm = RmqSct(values)
+    levels = []
+    scan = RmqSct._scan
+    monkeypatch.setattr(
+        RmqSct, "_scan",
+        lambda self, level, a, b: levels.append(level) or scan(self, level, a, b),
+    )
+    ends = {0, n - 1}
+    for _, bits, _, _ in rmq._LEVELS:
+        found = _boundary_values(rm, n, bits)
+        ends.update(found[:: max(1, len(found) // 8)])
+    ends = sorted(ends)
+    group_bits = rmq._LEVELS[1][1]
+    opens = {v: rm.bp.select(v + 1) for v in ends}
+    pairs = [
+        (l, r) for l in ends for r in ends
+        if opens[r] - opens[l] > 130 * group_bits
+    ]
+    assert len(pairs) >= 20
+    for l, r in pairs:
+        assert rm.query(l, r) == l + int(np.argmin(values[l : r + 1]))
+    assert levels.count(len(rmq._LEVELS) - 1) >= len(pairs)
