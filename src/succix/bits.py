@@ -5,10 +5,12 @@ Layout notes that the rest of the library relies on:
     64-bit words; value i occupies bits [i*w, (i+1)*w).
   * RankSupport keeps a two-level directory per 2048-bit superblock: one
     word with the absolute rank at the superblock start, one word packing
-    five 11-bit relative counts at 384-bit offsets. Overhead is 128 bits
-    per 2048, i.e. 6.25% of n, which stays under the 8% budget.
-  * SelectSupport samples the position of every 4096th target bit and
-    narrows with a binary search over per-superblock target counts.
+    five relative counts at 384-bit offsets, as 11-bit lanes on file and
+    12-bit lanes in memory. Overhead is 128 bits per 2048, i.e. 6.25% of
+    n, which stays under the 8% budget.
+  * SelectSupport samples the position of every 4096th target bit,
+    narrows with a binary search over per-superblock target counts and
+    finds the sub-block by one compare over all five 12-bit lanes.
   * rank(i) counts target bits in [0, i); select(j) is 1-indexed and
     returns a 0-based position, so select(rank(i)+1) >= i wherever defined.
 """
@@ -32,6 +34,25 @@ _SELECT_IN_BYTE = bytes(
     for b in range(256)
     for k in range(8)
 )
+
+# The five sub-block counts of a superblock, lane k holding the count in
+# its first k + 1 sub-blocks of 384 bits: at most 1920, so bit 11 of every
+# 12-bit lane is clear and serves as a guard bit for lane-parallel compares.
+_LANES = np.arange(5, dtype=np.uint64)
+_LANE_GUARDS = sum(1 << 12 * k + 11 for k in range(5))
+# r - 1 in every lane under its guard bit, for r in 1..2048 (0 is unused)
+_LANE_TARGETS = tuple(
+    (r - 1) * (_LANE_GUARDS >> 11) | _LANE_GUARDS for r in range(2049)
+)
+# the bits in the first k + 1 sub-blocks, lane by lane
+_SUB_ENDS = sum(384 * (k + 1) << 12 * k for k in range(5))
+
+
+def _relane(rel, src, dst):
+    """Sub-block count words with their five lanes moved from src-bit to
+    dst-bit spacing (11 on file, 12 in memory)."""
+    lanes = (rel[:, None] >> (_LANES * np.uint64(src))) & np.uint64(0x7FF)
+    return np.bitwise_or.reduce(lanes << (_LANES * np.uint64(dst)), axis=1)
 
 
 def width_for(max_value):
@@ -60,35 +81,19 @@ def pack_ints(values, width):
         raise ValueError("width must be between 1 and 64")
     if n and width < 64 and int(values.max()) >> width:
         raise ValueError(f"value does not fit in {width} bits")
-    nwords = serialize.payload_words(n, width)
-    words = np.zeros(nwords, dtype=np.uint64)
-    if n == 0:
-        return words
+    # whole groups of lcm(width, 64) bits, column j of every group at
+    # once; the last group may be short, and its missing values are zeros
     group_bits = math.lcm(width, 64)
     per_group = group_bits // width
-    words_per_group = group_bits // 64
-    ngroups = n // per_group
-    head = ngroups * per_group
-    if ngroups:
-        vals2d = values[:head].reshape(ngroups, per_group)
-        words2d = words[: ngroups * words_per_group].reshape(
-            ngroups, words_per_group
-        )
-        for j in range(per_group):
-            bit = j * width
-            wi, sh = bit >> 6, bit & 63
-            col = vals2d[:, j]
-            words2d[:, wi] |= col << np.uint64(sh)
-            if sh + width > 64:
-                words2d[:, wi + 1] |= col >> np.uint64(64 - sh)
-    for i in range(head, n):
-        v = int(values[i])
-        bit = i * width
+    words2d = np.zeros((-(-n // per_group), group_bits // 64), dtype=np.uint64)
+    for j in range(min(per_group, n)):
+        bit = j * width
         wi, sh = bit >> 6, bit & 63
-        words[wi] |= np.uint64((v << sh) & 0xFFFFFFFFFFFFFFFF)
+        col = values[j::per_group]
+        words2d[: len(col), wi] |= col << np.uint64(sh)
         if sh + width > 64:
-            words[wi + 1] |= np.uint64(v >> (64 - sh))
-    return words
+            words2d[: len(col), wi + 1] |= col >> np.uint64(64 - sh)
+    return words2d.reshape(-1)[: serialize.payload_words(n, width)]
 
 
 def pack_fields(values, widths):
@@ -309,12 +314,19 @@ class BitVector(IntVector):
 
 
 class RankSupport(serialize.Framed):
-    """Two-level rank directory over a BitVector (counts one-bits)."""
+    """Two-level rank directory over a BitVector (counts one-bits).
+
+    Per 2048-bit superblock, `abs_counts` holds the ones before it and
+    `rel_counts` one word with the ones in its first 1..5 sub-blocks of
+    384 bits. In memory those five counts are 12-bit lanes (lane k at bit
+    12k), so SelectSupport compares all of them at once; the stored
+    directory packs them as 11-bit lanes, and the frame and the loader
+    convert between the two.
+    """
 
     _tag = "rank"
     SUPER_BITS = 2048
     SUB_BITS = 384
-    _REL_MASK = np.uint64(0x7FF)
 
     def __init__(self, bv):
         self.bv = bv
@@ -332,7 +344,7 @@ class RankSupport(serialize.Framed):
         rel = np.zeros(nsuper + 1, dtype=np.uint64)
         for j in range(1, 6):
             counts = (cum[6 * j :: 32][:nsuper] - cum[::32][:nsuper]).astype(np.uint64)
-            rel[:nsuper] |= counts << np.uint64(11 * (j - 1))
+            rel[:nsuper] |= counts << np.uint64(12 * (j - 1))
         self.rel_counts = rel
         self.total_ones = int(cum[len(words)])
         self._finish()
@@ -356,7 +368,7 @@ class RankSupport(serialize.Framed):
         j = r // 384
         base = self._abs[s]
         if j:
-            base += (self._rel[s] >> (11 * (j - 1))) & 0x7FF
+            base += (self._rel[s] >> (12 * j - 12)) & 0xFFF
         words = self._words
         w0 = (s << 5) + 6 * j
         wlast = i >> 6
@@ -378,8 +390,8 @@ class RankSupport(serialize.Framed):
         r = i & 2047
         j = r // 384
         base = self.abs_counts[s].astype(np.int64)
-        relshift = (11 * np.maximum(j - 1, 0)).astype(np.uint64)
-        rel = (self.rel_counts[s] >> relshift) & self._REL_MASK
+        relshift = (12 * np.maximum(j - 1, 0)).astype(np.uint64)
+        rel = (self.rel_counts[s] >> relshift) & np.uint64(0xFFF)
         base += np.where(j > 0, rel.astype(np.int64), 0)
         words = self.bv.words
         if len(words) == 0:
@@ -400,7 +412,7 @@ class RankSupport(serialize.Framed):
     def _frame(self):
         dir_words = np.empty(2 * len(self.abs_counts), dtype="<u8")
         dir_words[0::2] = self.abs_counts
-        dir_words[1::2] = self.rel_counts
+        dir_words[1::2] = _relane(self.rel_counts, 12, 11)
         return serialize.Frame(
             serialize.MAGIC_RANK, 64, len(dir_words), dir_words
         )
@@ -413,7 +425,7 @@ class RankSupport(serialize.Framed):
         rs = cls.__new__(cls)
         rs.bv = bv
         rs.abs_counts = dir_words[0::2].astype(np.int64)
-        rs.rel_counts = dir_words[1::2].copy()
+        rs.rel_counts = _relane(dir_words[1::2], 11, 12)
         expected = -(-bv.n // cls.SUPER_BITS) + 1 if bv.n else 1
         if len(rs.abs_counts) != expected:
             raise serialize.FormatError("rank directory does not match bitvector")
@@ -427,8 +439,10 @@ class SelectSupport(serialize.Framed):
 
     Stores the position of every 4096th target bit. A query bisects the
     per-superblock target counts between the superblocks of its two
-    neighbouring samples, then steps through the sub-block counts, the
-    words, and the word's 32-, 16- and 8-bit halves to a byte table.
+    neighbouring samples. It finds the sub-block in one step from the rank
+    directory's in-memory 12-bit lanes (the stored directory's 11-bit lanes
+    have no room for the guard bits), then steps through the words and the
+    word's 32-, 16- and 8-bit halves to a byte table.
     """
 
     _tag = "select"
@@ -457,6 +471,7 @@ class SelectSupport(serialize.Framed):
         self._samples = memoryview(self.samples)
         self._rel = self.rank_support._rel
         self._words = self.rank_support._words
+        self._flip = 0 if self.value else 0xFFFFFFFFFFFFFFFF
         register_allocation(self, self.samples.nbytes + extra, "select_support")
 
     def select(self, j):
@@ -465,39 +480,44 @@ class SelectSupport(serialize.Framed):
         if not 1 <= j <= self.count:
             raise ValueError(f"select index {j} out of range (m={self.count})")
         samples, counts = self._samples, self._counts
-        t = (j - 1) // self.SAMPLE
+        t = (j - 1) >> 12  # the sample at or before j, one per SAMPLE
         hi = (samples[t + 1] >> 11) + 1 if t + 1 < len(samples) else len(counts)
         # superblock s holds the target: counts[s] < j <= counts[s + 1]
         s = bisect_left(counts, j, samples[t] >> 11, hi) - 1
         remaining = j - counts[s]
-        rel = self._rel[s]
-        sub = before = 0
-        for k in range(1, 6):
-            cnt = (rel >> (11 * k - 11)) & 0x7FF
-            if not self.value:
-                cnt = 384 * k - cnt
-            if cnt >= remaining:
-                break
-            sub, before = k, cnt
-        remaining -= before
+        # targets in the first 1..5 sub-blocks, one 12-bit lane each
+        flip = self._flip
+        lanes = _SUB_ENDS - self._rel[s] if flip else self._rel[s]
+        # a lane below `remaining` keeps its guard bit through the subtraction
+        sub = ((_LANE_TARGETS[remaining] - lanes) & _LANE_GUARDS).bit_count()
+        if sub:
+            remaining -= (lanes >> (12 * sub - 12)) & 0xFFF
         words = self._words
-        flip = 0 if self.value else 0xFFFFFFFFFFFFFFFF
         # the target lies before n, so the scan stops inside the words
         w = (s << 5) + 6 * sub
-        while True:
-            word = words[w] ^ flip
-            c = word.bit_count()
-            if c >= remaining:
-                break
+        word = words[w] ^ flip
+        c = word.bit_count()
+        while c < remaining:
             remaining -= c
             w += 1
+            word = words[w] ^ flip
+            c = word.bit_count()
         base = w << 6
-        for half, mask in ((32, 0xFFFFFFFF), (16, 0xFFFF), (8, 0xFF)):
-            c = (word & mask).bit_count()
-            if c < remaining:
-                remaining -= c
-                word >>= half
-                base += half
+        c = (word & 0xFFFFFFFF).bit_count()
+        if c < remaining:
+            remaining -= c
+            word >>= 32
+            base += 32
+        c = (word & 0xFFFF).bit_count()
+        if c < remaining:
+            remaining -= c
+            word >>= 16
+            base += 16
+        c = (word & 0xFF).bit_count()
+        if c < remaining:
+            remaining -= c
+            word >>= 8
+            base += 8
         return base + _SELECT_IN_BYTE[((word & 0xFF) << 3) + remaining - 1]
 
     def _frame(self):

@@ -390,19 +390,26 @@ class SDVector(serialize.Framed):
     def select(self, j, l=0):
         """The j-th (1-based) value of list l."""
         j = int(j)
-        first = self.bounds[l]
-        if not 1 <= j <= self.bounds[l + 1] - first:
+        bounds = self.bounds
+        first = bounds[l]
+        if not 1 <= j <= bounds[l + 1] - first:
             raise ValueError(f"select index {j} out of range in list {l}")
         w = self.low_widths[l]
         p = self._select1.select(first + j) - self._hi_offs[l]
-        low = read_field(self._low_words, self._low_offs[l] + (j - 1) * w, w)
-        return ((p - j + 1) << w) | low
+        lo = self._low_offs[l] + (j - 1) * w
+        sh = lo & 63
+        low_words = self._low_words
+        low = low_words[lo >> 6] >> sh
+        if sh + w > 64:
+            low |= low_words[(lo >> 6) + 1] << (64 - sh)
+        return ((p - j + 1) << w) | (low & ((1 << w) - 1))
 
     def rank_access(self, i, l=0):
         """(rank(i, l), access(i, l)) from one scan of i's bucket."""
         i = int(i)
-        first = self.bounds[l]
-        m = self.bounds[l + 1] - first
+        bounds = self.bounds
+        first = bounds[l]
+        m = bounds[l + 1] - first
         if i < 0 or m == 0:
             return 0, 0
         if i >= self.universe:
@@ -412,12 +419,17 @@ class SDVector(serialize.Framed):
         b = i >> w
         # the b-th zero of list l ends its values below b << w
         j = self._select0.select(hi - first + b) - hi - b + 1 if b else 0
-        low_i = i & ((1 << w) - 1)
+        mask = (1 << w) - 1
+        low_i = i & mask
         high_words = self._high_words
         low_words = self._low_words
         pos, lo = hi + b + j, self._low_offs[l] + j * w
         while j < m and (high_words[pos >> 6] >> (pos & 63)) & 1:
-            low = read_field(low_words, lo, w)
+            sh = lo & 63
+            low = low_words[lo >> 6] >> sh
+            if sh + w > 64:
+                low |= low_words[(lo >> 6) + 1] << (64 - sh)
+            low &= mask
             if low >= low_i:
                 return j, int(low == low_i)
             j, pos, lo = j + 1, pos + 1, lo + w

@@ -468,7 +468,15 @@ class SaSamples(serialize.Framed):
     def lookup(self, row):
         """SA value at this row if the row is sampled, else None."""
         before, hit = self.marked.rank_access(row)
-        return self.values[before] * self.rate if hit else None
+        if not hit:
+            return None
+        values = self.values
+        bit = before * values.width
+        sh = bit & 63
+        v = values._words[bit >> 6] >> sh
+        if sh + values.width > 64:
+            v |= values._words[(bit >> 6) + 1] << (64 - sh)
+        return (v & values._mask) * self.rate
 
     def isa_sample(self, t):
         """Row of the suffix starting at text position t*rate."""

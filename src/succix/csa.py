@@ -69,6 +69,9 @@ class _CsaBase(serialize.Framed):
             count=ep - sp + 1,
         )
 
+    def _row_error(self, i):
+        return ValueError(f"row {i} outside [0, {self.n})")
+
     def _check_extract(self, start, length):
         if length < 0 or start < 0 or start + length > self.n:
             raise ValueError(
@@ -101,8 +104,12 @@ class CsaPsi(_CsaBase):
 
     def psi(self, i):
         """Row of the suffix one position later in the text."""
-        c = self._symbol_at_row(i)
-        return self.psi_lists.select(i - self.psi_lists.bounds[c] + 1, c)
+        if not 0 <= i < self.n:
+            raise self._row_error(i)
+        psi_lists = self.psi_lists
+        bounds = psi_lists.bounds
+        c = bisect_right(bounds, i) - 1
+        return psi_lists.select(i - bounds[c] + 1, c)
 
     def _interval_step(self, c, sp, ep):
         base = int(self.cnt[c])
@@ -112,11 +119,14 @@ class CsaPsi(_CsaBase):
     def sa_access(self, i):
         """SA[i], by walking Psi forward to a sampled row."""
         j, t = int(i), 0
+        if not 0 <= j < self.n:
+            raise self._row_error(j)
+        lookup, psi = self.samples.lookup, self.psi
         while True:
-            v = self.samples.lookup(j)
+            v = lookup(j)
             if v is not None:
                 return (v - t) % self.n
-            j = self.psi(j)
+            j = psi(j)
             t += 1
 
     def extract(self, start, length):
@@ -177,6 +187,8 @@ class CsaWt(_CsaBase):
 
     def lf(self, i):
         """Row of the suffix one position earlier in the text."""
+        if not 0 <= i < self.n:
+            raise self._row_error(i)
         c = self.wt.access(i)
         return int(self.cnt[c]) + self.wt.rank(i, c)
 
@@ -187,6 +199,8 @@ class CsaWt(_CsaBase):
     def sa_access(self, i):
         """SA[i], by walking LF backward to a sampled row."""
         j, t = int(i), 0
+        if not 0 <= j < self.n:
+            raise self._row_error(j)
         while True:
             v = self.samples.lookup(j)
             if v is not None:

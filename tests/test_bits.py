@@ -310,6 +310,38 @@ class TestSelect:
             got = np.array([ss.select(int(j)) for j in js])
             assert np.array_equal(got, pos[js - 1])
 
+    def test_lane_extremes(self):
+        """Sub-block counts of 1920 and 0, targets 2048 deep into a
+        superblock, a zero run longer than a select sample and a partial
+        last word: every select, and rank at every directory edge."""
+        rng = np.random.default_rng(23)
+        bits = np.concatenate([
+            np.ones(2 * 2048, dtype=bool),
+            np.zeros(2 * 2048, dtype=bool),
+            rng.random(5 * 2048 + 100) < 0.5,
+            np.zeros(4097, dtype=bool),
+            rng.random(77) < 0.5,
+        ])
+        n = len(bits)
+        bv = BitVector(bits)
+        rs = RankSupport(bv)
+        for value in (1, 0):
+            ss = SelectSupport(bv, rs, value)
+            pos = np.flatnonzero(bits if value else ~bits)
+            got = [ss.select(j) for j in range(1, len(pos) + 1)]
+            assert got == pos.tolist()
+        cum = np.concatenate([[0], np.cumsum(bits)])
+        starts = np.arange(0, n + 1, 2048)[:, None] + 384 * np.arange(6)
+        edges = (starts.ravel()[:, None] + np.arange(-1, 2)).ravel()
+        edges = np.unique(np.clip(edges, 0, n))
+        assert [rs.rank(int(i)) for i in edges] == cum[edges].tolist()
+        assert np.array_equal(rs.rank_many(edges), cum[edges])
+        buf = io.BytesIO()
+        rs.serialize(buf)
+        again = io.BytesIO()
+        RankSupport.deserialize(io.BytesIO(buf.getvalue()), bv).serialize(again)
+        assert again.getvalue() == buf.getvalue()
+
     def test_round_trip(self):
         rng = np.random.default_rng(16)
         bits = rng.random(9000) < 0.1

@@ -69,6 +69,16 @@ def test_extract_rejects_out_of_range():
             csa.extract(-1, 2)
 
 
+def test_rows_outside_the_text_rejected():
+    psi_csa, wt_csa = example_csas()
+    n = len(TEXT)
+    for row in (-1, n, n + 5):
+        message = rf"row {row} outside \[0, {n}\)"
+        for step in (psi_csa.sa_access, psi_csa.psi, wt_csa.sa_access, wt_csa.lf):
+            with pytest.raises(ValueError, match=message):
+                step(row)
+
+
 def test_two_symbol_text():
     # "ab" plus terminator: SA=[2,0,1], Psi=[1,2,0]
     text = [2, 3, 0]
