@@ -4,9 +4,10 @@ Wavelet trees: rank/select/access over any alphabet
 
 A wavelet tree decomposes a symbol sequence into one bitmap per level,
 giving rank, select, access, interval symbol counting, and distinct
-counting in O(log sigma) bitmap operations. The bitmaps can be stored
-plain or RRR-compressed; skewed inputs can also use the Huffman-shaped
-variant, which makes frequent symbols shallow.
+counting in O(log sigma) bitmap operations. WaveletTree keeps its levels
+in wavelet-matrix order, over any integer alphabet; byte inputs can also
+use the Huffman-shaped WaveletTreeHuff, which makes frequent symbols
+shallow. The bitmaps can be stored plain or RRR-compressed.
 """
 
 import numpy as np
@@ -25,8 +26,8 @@ huff = WaveletTreeHuff(seq, backend="plain")
 huff_rrr = WaveletTreeHuff(seq, backend="rrr")
 
 print("sequence of", n, "skewed bytes")
-print("  balanced plain :", f"{wt.serialized_bytes():>9,}B")
-print("  balanced rrr   :", f"{wt_rrr.serialized_bytes():>9,}B")
+print("  matrix plain   :", f"{wt.serialized_bytes():>9,}B")
+print("  matrix rrr     :", f"{wt_rrr.serialized_bytes():>9,}B")
 print("  huffman plain  :", f"{huff.serialized_bytes():>9,}B")
 print("  huffman rrr    :", f"{huff_rrr.serialized_bytes():>9,}B")
 print("  raw bytes      :", f"{seq.nbytes:>9,}B")

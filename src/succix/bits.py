@@ -46,13 +46,19 @@ _LANE_TARGETS = tuple(
 )
 # the bits in the first k + 1 sub-blocks, lane by lane
 _SUB_ENDS = sum(384 * (k + 1) << 12 * k for k in range(5))
+# caps on a superblock's row (lane 0, ..., lane 4, its ones), which rises
+# from 0: the bits in the lanes' sub-blocks, then the superblock's bits
+_ROW_CAPS = np.array([384, 768, 1152, 1536, 1920, 2048])
 
 
-def _relane(rel, src, dst):
-    """Sub-block count words with their five lanes moved from src-bit to
-    dst-bit spacing (11 on file, 12 in memory)."""
-    lanes = (rel[:, None] >> (_LANES * np.uint64(src))) & np.uint64(0x7FF)
-    return np.bitwise_or.reduce(lanes << (_LANES * np.uint64(dst)), axis=1)
+def _lanes(rel, spacing):
+    """The five sub-block counts of each count word, one column each, from
+    lanes `spacing` bits apart (11 on file, 12 in memory)."""
+    return (rel[:, None] >> (_LANES * np.uint64(spacing))) & np.uint64(0x7FF)
+
+
+def _pack_lanes(lanes, spacing):
+    return np.bitwise_or.reduce(lanes << (_LANES * np.uint64(spacing)), axis=1)
 
 
 def width_for(max_value):
@@ -412,7 +418,7 @@ class RankSupport(serialize.Framed):
     def _frame(self):
         dir_words = np.empty(2 * len(self.abs_counts), dtype="<u8")
         dir_words[0::2] = self.abs_counts
-        dir_words[1::2] = _relane(self.rel_counts, 12, 11)
+        dir_words[1::2] = _pack_lanes(_lanes(self.rel_counts, 12), 11)
         return serialize.Frame(
             serialize.MAGIC_RANK, 64, len(dir_words), dir_words
         )
@@ -425,10 +431,19 @@ class RankSupport(serialize.Framed):
         rs = cls.__new__(cls)
         rs.bv = bv
         rs.abs_counts = dir_words[0::2].astype(np.int64)
-        rs.rel_counts = _relane(dir_words[1::2], 11, 12)
+        lanes = _lanes(dir_words[1::2], 11)
         expected = -(-bv.n // cls.SUPER_BITS) + 1 if bv.n else 1
         if len(rs.abs_counts) != expected:
             raise serialize.FormatError("rank directory does not match bitvector")
+        # each superblock's row (its five lanes, its ones) rises from 0
+        # within _ROW_CAPS; the sentinel's ones are 0, so its lanes must be
+        ones = np.diff(rs.abs_counts, append=rs.abs_counts[-1])
+        rows = np.column_stack((lanes.astype(np.int64), ones))
+        if rs.abs_counts[0] or (
+            (np.diff(rows, prepend=0) < 0).any() or (rows > _ROW_CAPS).any()
+        ):
+            raise serialize.FormatError("impossible rank directory counts")
+        rs.rel_counts = _pack_lanes(lanes, 12)
         rs.total_ones = int(rs.abs_counts[-1])
         rs._finish()
         return rs

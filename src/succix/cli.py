@@ -45,8 +45,6 @@ def _cmd_build(args):
     kwargs = {"temp_dir": args.keep_temp}
     if args.sa_sample is not None:
         kwargs["sample_rate"] = args.sa_sample
-    elif args.algo == "sada":
-        kwargs["sample_rate"] = 32
     if args.monitor:
         memory_monitor.start()
     index = build_index(args.algo, coll, **kwargs)

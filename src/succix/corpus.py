@@ -42,8 +42,10 @@ def synth_symbol_docs(n_docs, sigma, seed, mean_len=64, zipf_s=1.3):
 
 
 def render_docs(symbol_docs, mode, sep=10):
-    """Symbol-rank documents as byte strings or token lists."""
+    """Symbol-rank documents (integer sequences) as byte strings or token
+    lists."""
     if mode == "byte":
+        symbol_docs = [np.asarray(d, dtype=np.int64) for d in symbol_docs]
         pool = byte_pool(sep)
         sigma = max((int(d.max()) + 1 for d in symbol_docs if len(d)), default=1)
         if sigma > len(pool):
@@ -58,21 +60,10 @@ def render_docs(symbol_docs, mode, sep=10):
 
 
 def make_docs(
-    n_docs,
-    sigma,
-    seed,
-    mean_len=64,
-    zipf_s=1.3,
-    mode="byte",
-    sep=10,
-    docs_override=None,
+    n_docs, sigma, seed, mean_len=64, zipf_s=1.3, mode="byte", sep=10
 ):
-    """Synthesize (or re-render, with docs_override) a corpus."""
-    symbol_docs = (
-        [np.asarray(d, dtype=np.int64) for d in docs_override]
-        if docs_override is not None
-        else synth_symbol_docs(n_docs, sigma, seed, mean_len, zipf_s)
-    )
+    """Synthesize a corpus."""
+    symbol_docs = synth_symbol_docs(n_docs, sigma, seed, mean_len, zipf_s)
     return render_docs(symbol_docs, mode, sep)
 
 

@@ -187,7 +187,10 @@ memory_monitor = MemoryMonitor()
 
 
 def register_allocation(owner, nbytes, tag=""):
-    """Track `nbytes` against `owner`'s lifetime; freed when `owner` dies."""
+    """Track `nbytes` against `owner`'s lifetime; freed when `owner` dies.
+    While the monitor is idle nothing is tracked, so nothing is attached:
+    a later recording ignores the structure."""
     handle = memory_monitor.track(nbytes, tag)
-    weakref.finalize(owner, memory_monitor.untrack, handle)
+    if handle.generation >= 0:
+        weakref.finalize(owner, memory_monitor.untrack, handle)
     return handle

@@ -1,9 +1,14 @@
 """Wavelet trees over integer sequences.
 
-WaveletTree is the balanced shape: one bitvector per level, holding bit
-(h-1-level) of every element with elements ordered by their higher bits.
-Node spans therefore stay at the same positions across levels, and a node
-at depth d with path prefix p covers symbols [p << (h-d), (p+1) << (h-d)).
+WaveletTree is the balanced shape in wavelet-matrix level order (Claude,
+Navarro & Ordonez, "The wavelet matrix", 2015): one bitvector per level,
+level l holding bit (h-1-l) of every element. Level 0 is the sequence in
+order; level l + 1 is level l's elements with bit 0 followed by those with
+bit 1, each group in its order on level l. With z the zero count of level
+l, an element at position i moves to i - rank1(i) or to z + rank1(i), so a
+node (the elements sharing a path prefix) is one run on every level
+without stored bounds. A node at depth d with prefix p covers symbols
+[p << (h-d), (p+1) << (h-d)).
 
 WaveletTreeHuff is the Huffman-shaped byte variant: per-node bitvectors
 along canonical Huffman codes, which makes the total bit count n*H0-ish
@@ -74,37 +79,26 @@ class WaveletTree(_WaveletBase):
         levels = []
         cur = seq.astype(np.min_scalar_type(self.sigma - 1))
         for level in range(self.height):
-            shift = self.height - 1 - level
-            bits = (cur >> shift) & 1
-            levels.append(make_bits(bits.astype(bool), backend))
+            bits = ((cur >> (self.height - 1 - level)) & 1).astype(bool)
+            levels.append(make_bits(bits, backend))
             if level + 1 < self.height:
-                # level l + 1 is level l stably partitioned by the bits down
-                # to this one; keys of up to 16 bits sort as one radix pass
-                key_type = np.min_scalar_type((self.sigma - 1) >> shift)
-                key = (cur >> shift).astype(key_type)
-                cur = cur[np.argsort(key, kind="stable")]
+                # compress runs several times faster than a boolean index
+                cur = np.concatenate((cur.compress(~bits), cur.compress(bits)))
+        self._finish(levels)
+
+    def _finish(self, levels):
         self.levels = levels
+        self.zeros = [self.n - bv.count_ones() for bv in levels]
 
     def access(self, i):
         i = int(i)
         if not 0 <= i < self.n:
             raise IndexError("index out of range")
-        lo, hi = 0, self.n
         value = 0
-        for level in range(self.height):
-            bv = self.levels[level]
-            ones_before = bv.rank(lo)
-            b = bv.access(lo + i)
-            ones_total = bv.rank(hi) - ones_before
-            zeros_total = (hi - lo) - ones_total
-            value <<= 1
-            if b:
-                value |= 1
-                i = bv.rank(lo + i) - ones_before
-                lo = lo + zeros_total
-            else:
-                i = (lo + i) - bv.rank(lo + i) - (lo - ones_before)
-                hi = lo + zeros_total
+        for bv, z in zip(self.levels, self.zeros):
+            b = bv.access(i)
+            value = value << 1 | b
+            i = z + bv.rank(i) if b else i - bv.rank(i)
         return value
 
     def rank(self, i, c):
@@ -114,63 +108,45 @@ class WaveletTree(_WaveletBase):
         if i <= 0 or not 0 <= c < self.sigma:
             return 0
         i = min(i, self.n)
-        lo, hi = 0, self.n
-        for level in range(self.height):
-            if i == 0:
-                return 0
-            bv = self.levels[level]
-            b = (c >> (self.height - 1 - level)) & 1
-            ones_before = bv.rank(lo)
-            ones_at_i = bv.rank(lo + i) - ones_before
-            ones_total = bv.rank(hi) - ones_before
-            zeros_total = (hi - lo) - ones_total
-            if b:
-                i = ones_at_i
-                lo = lo + zeros_total
-                hi = lo + ones_total
+        # [p, i) is the part of c's node before the query end, level by level
+        p = 0
+        shift = self.height
+        for bv, z in zip(self.levels, self.zeros):
+            shift -= 1
+            if c >> shift & 1:
+                p, i = z + bv.rank(p), z + bv.rank(i)
             else:
-                i = i - ones_at_i
-                hi = lo + zeros_total
-        return i
+                p, i = p - bv.rank(p), i - bv.rank(i)
+            if i == p:
+                return 0
+        return i - p
 
     def root(self):
-        """(depth, prefix, node_lo, node_hi) tuple for the root node."""
-        return (0, 0, 0, self.n)
+        """(depth, prefix) of the root node."""
+        return (0, 0)
 
     def is_leaf(self, node):
         return node[0] == self.height
 
     def node_symbol_range(self, node):
-        depth, prefix = node[0], node[1]
+        depth, prefix = node
         span = 1 << (self.height - depth)
         return prefix * span, (prefix + 1) * span
 
     def expand(self, node, qlo, qhi):
-        """Split a query interval of a node into the two child intervals.
+        """Split a node's query interval [qlo, qhi) on its level into the
+        two child intervals on the next level.
 
         Returns ((left_node, l_qlo, l_qhi), (right_node, r_qlo, r_qhi));
         child query intervals may be empty.
         """
-        depth, prefix, nlo, nhi = node
-        bv = self.levels[depth]
-        ones_before = bv.rank(nlo)
-        ones_total = bv.rank(nhi) - ones_before
-        zeros_total = (nhi - nlo) - ones_total
-        ones_lo = bv.rank(qlo) - ones_before
-        ones_hi = bv.rank(qhi) - ones_before
-        zeros_lo = (qlo - nlo) - ones_lo
-        zeros_hi = (qhi - nlo) - ones_hi
-        left = (
-            (depth + 1, prefix << 1, nlo, nlo + zeros_total),
-            nlo + zeros_lo,
-            nlo + zeros_hi,
+        depth, prefix = node
+        bv, z = self.levels[depth], self.zeros[depth]
+        ones_lo, ones_hi = bv.rank(qlo), bv.rank(qhi)
+        return (
+            ((depth + 1, prefix << 1), qlo - ones_lo, qhi - ones_hi),
+            ((depth + 1, prefix << 1 | 1), z + ones_lo, z + ones_hi),
         )
-        right = (
-            (depth + 1, (prefix << 1) | 1, nlo + zeros_total, nhi),
-            nlo + zeros_total + ones_lo,
-            nlo + zeros_total + ones_hi,
-        )
-        return left, right
 
     def count_distinct(self, qlo, qhi):
         """Number of distinct symbols in positions [qlo, qhi)."""
@@ -212,9 +188,10 @@ class WaveletTree(_WaveletBase):
         wt.sigma = sigma
         wt.height = height
         wt.backend = _backend_name(kind)
-        wt.levels = [read_bits(f) for _ in range(height)]
-        if any(len(bv) != n for bv in wt.levels):
+        levels = [read_bits(f) for _ in range(height)]
+        if any(len(bv) != n for bv in levels):
             raise serialize.FormatError("wavelet level length is not n")
+        wt._finish(levels)
         return wt
 
 

@@ -198,23 +198,21 @@ def huffman_code_lengths(freqs):
 
 
 def wavelet_levels(seq, width):
-    """Level-wise bit concatenation of a balanced wavelet tree.
+    """Level-wise bit sequences of a balanced wavelet tree in wavelet-matrix
+    order.
 
     Returns a list of 0/1 lists, one per level, each of length len(seq).
-    Level l stores bit (width-1-l) of each value, with values grouped by
-    their higher bits (stable).
+    Level l stores bit (width-1-l) of each value; level 0 is seq itself and
+    level l + 1 lists level l's values with bit 0, then those with bit 1,
+    each group in its order on level l.
     """
-    seq = list(seq)
+    cur = list(seq)
     levels = []
-    groups = [seq]
     for level in range(width):
         shift = width - 1 - level
-        bits = []
-        next_groups = []
-        for g in groups:
-            bits.extend((v >> shift) & 1 for v in g)
-            next_groups.append([v for v in g if not (v >> shift) & 1])
-            next_groups.append([v for v in g if (v >> shift) & 1])
+        bits = [(v >> shift) & 1 for v in cur]
         levels.append(bits)
-        groups = [g for g in next_groups]
+        cur = [v for v, b in zip(cur, bits) if not b] + [
+            v for v, b in zip(cur, bits) if b
+        ]
     return levels

@@ -385,6 +385,47 @@ class TestBackedBits:
         assert bb2.select(17) == bb.select(17)
         assert bb2.select0_support is None
 
+    @pytest.mark.parametrize("patch", [
+        "lane over its sub-blocks", "falling lane", "lane 4 over the ones",
+        "falling absolute count", "absolute count rising past 2048",
+    ])
+    def test_impossible_rank_counts_raise_format_error(self, patch):
+        """Each impossible count in a stored rank directory fails the load
+        instead of giving wrong ranks and selects."""
+        bits = np.random.default_rng(19).random(20_000) < 0.5
+        bb = BackedBits(BitVector(bits), select1=True, select0=True)
+        buf = io.BytesIO()
+        bb.serialize(buf)
+        data = bytearray(buf.getvalue())
+        # the directory words (absolute, lanes) per superblock follow the
+        # BackedBits header, the payload frame and the rank header
+        at = 2 * serialize.HEADER_BYTES + bb.bits.serialized_bytes()
+        words = np.frombuffer(data, dtype="<u8", count=22, offset=at).copy()
+        abs_counts, rel = words[0::2], words[1::2]
+
+        def lane(s, k):
+            return int(rel[s]) >> 11 * k & 0x7FF
+
+        def set_lane(s, k, value):
+            rel[s] = int(rel[s]) & ~(0x7FF << 11 * k) | value << 11 * k
+
+        if patch == "lane over its sub-blocks":
+            set_lane(3, 0, 2000)
+        elif patch == "falling lane":
+            set_lane(1, 2, lane(1, 1) - 1)
+        elif patch == "lane 4 over the ones":
+            set_lane(5, 4, int(abs_counts[6] - abs_counts[5]) + 1)
+        elif patch == "falling absolute count":
+            abs_counts[4] = abs_counts[3] - 1
+        else:
+            abs_counts[4] = abs_counts[3] + 2049
+        words[0::2], words[1::2] = abs_counts, rel
+        good = BackedBits.deserialize(io.BytesIO(buf.getvalue()))
+        assert good.select0(5000) == bb.select0(5000)
+        data[at : at + 8 * 22] = words.astype("<u8").tobytes()
+        with pytest.raises(serialize.FormatError):
+            BackedBits.deserialize(io.BytesIO(bytes(data)))
+
     def test_size_tree_matches_file(self):
         bb = BackedBits(BitVector(np.arange(1000) % 3 == 0), select1=True)
         tree = bb.size_tree("bits")

@@ -1,5 +1,6 @@
 import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -118,3 +119,19 @@ class TestStructureRegistration:
         iv = IntVector(np.arange(10, dtype=np.uint64))
         assert memory_monitor.total_bytes == 0
         del iv
+
+    def test_structure_made_while_idle_stays_untracked(self):
+        # no finalizer is attached while idle, so nothing holds a weak
+        # reference, and freeing the structure later records nothing
+        iv = IntVector(np.arange(100, dtype=np.uint64))
+        assert weakref.getweakrefcount(iv) == 0
+        memory_monitor.start()
+        try:
+            tracked = IntVector(np.arange(100, dtype=np.uint64))
+            assert weakref.getweakrefcount(tracked) == 1
+            del iv
+            gc.collect()
+            assert memory_monitor.total_bytes == tracked.words.nbytes
+            assert len(memory_monitor.events) == 1
+        finally:
+            memory_monitor.stop()

@@ -195,12 +195,12 @@ def test_frame_sizes_agree_and_reload_is_byte_identical(obj, reader):
     assert again.getvalue() == data
 
 
-# Files written by version 2 of this format for the worked example
+# Files written by version 3 of this format for the worked example
 # (default build options); a layout change must bump FORMAT_VERSION.
 EXAMPLE_INDEX_SHA256 = {
-    "sada": "31c59c95dd2842882834f86f98bda77394113d749509e5481e51b09048fce5c0",
-    "greedy": "e27c1fb1ae08bc79e4d2dd67bb19618c2c107450309fd8a48504607a9d5d91ec",
-    "sort": "0790fa4a4f3255ed5e3ac6ce39a76ac7325c900167ca700c139de84e4e66c7a5",
+    "sada": "ba73489fa1ea185947caccc895883c62048f977b15f80aceaafdf4a9f75274dd",
+    "greedy": "feb1f5dce613980fb9c9ba6e92432ac85015e3f966841aac271c618a829ce491",
+    "sort": "3842d8381e7303754aeb7822afe252e689bbfe3696b83057d30bcaf6aea081b5",
 }
 
 
@@ -211,6 +211,21 @@ def test_example_index_bytes_are_pinned(algo):
     build_index(algo, coll).serialize(buf)
     digest = hashlib.sha256(buf.getvalue()).hexdigest()
     assert digest == EXAMPLE_INDEX_SHA256[algo]
+
+
+@pytest.mark.parametrize("algo", ["sada", "greedy"])
+def test_format_2_files_raise_format_error(algo):
+    """Format 2 kept the balanced wavelet tree's levels in prefix order, so
+    a file with its version bytes must not load."""
+    coll = Collection(DOCS, ByteAlphabet.from_docs(DOCS))
+    index = build_index(algo, coll)
+    buf = io.BytesIO()
+    index.serialize(buf)
+    data = bytearray(buf.getvalue())
+    for p in _header_offsets(index):
+        data[p + 8] = 2
+    with pytest.raises(serialize.FormatError, match="version 2"):
+        read_index(io.BytesIO(bytes(data)))
 
 
 def _small_indexes(rng):

@@ -1,5 +1,8 @@
 import importlib.util
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from succix.construct import ByteAlphabet, Collection, load_docs
 from succix.corpus import (
     byte_pool,
     make_docs,
+    render_docs,
     synth_symbol_docs,
     write_corpus,
     zipf_weights,
@@ -23,6 +27,8 @@ from succix.patterns import (
 )
 
 from example_data import DOCS, TEXT
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_zipf_weights():
@@ -54,22 +60,18 @@ def test_synth_docs_seeded_and_nonempty():
     assert max(int(d.max()) for d in a) < 12
 
 
-def test_docs_override_renders_exact_symbols():
-    docs = make_docs(
-        2, 3, seed=0, mode="byte", docs_override=[[0, 1, 0], [2]]
-    )
+def test_render_docs_renders_exact_symbols():
+    docs = render_docs([[0, 1, 0], [2]], "byte")
     pool = byte_pool(10)
     assert docs[0] == bytes([pool[0], pool[1], pool[0]])
     assert docs[1] == bytes([pool[2]])
-    words = make_docs(
-        2, 3, seed=0, mode="word", docs_override=[[0, 1], [2]]
-    )
+    words = render_docs([[0, 1], [2]], "word")
     assert words == [["w0000", "w0001"], ["w0002"]]
 
 
 def test_byte_sigma_cap():
     with pytest.raises(ValueError):
-        make_docs(1, 254, seed=0, mode="byte", docs_override=[[253]])
+        render_docs([[253]], "byte")
 
 
 def test_corpus_file_roundtrip(tmp_path):
@@ -147,7 +149,7 @@ def test_bench_rows_and_cutoff():
 
 
 def _load_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -183,3 +185,18 @@ def test_traced_loads_read_every_top_level_component(tmp_path):
     assert tracer.components_read == [
         len(index.size_tree().children) for index in indexes
     ]
+
+
+@pytest.mark.parametrize(
+    "demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem
+)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

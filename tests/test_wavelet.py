@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from succix.compressed import make_bits
+from succix.compressed import RRRVector, make_bits
 from succix.serialize import HEADER_BYTES, FormatError
 from succix.wavelet import (
     WaveletTree,
@@ -111,6 +111,51 @@ class TestBalanced:
         assert wt.node_symbol_range(rnode) == (4, 8)
         small = int(np.count_nonzero(seq[10:90] < 4))
         assert lhi - llo == small
+
+    def test_expand_reaches_every_symbol_count(self):
+        rng = np.random.default_rng(40)
+        seq = rng.integers(0, 13, size=400)
+        wt = WaveletTree(seq, backend="rrr")
+        lo, hi = 37, 311
+        counts = {}
+        stack = [(wt.root(), lo, hi)]
+        while stack:
+            node, qlo, qhi = stack.pop()
+            if wt.is_leaf(node):
+                counts[wt.node_symbol_range(node)[0]] = qhi - qlo
+            else:
+                stack.extend(wt.expand(node, qlo, qhi))
+        assert counts == {
+            c: int(np.count_nonzero(seq[lo:hi] == c)) for c in range(16)
+        }
+
+    def test_bit_calls_per_level(self, monkeypatch):
+        """expand takes two bit ranks, rank at most two per level, and
+        access one bit rank and one bit access per level."""
+        rng = np.random.default_rng(39)
+        seq = rng.integers(0, 50, size=3000)
+        wt = WaveletTree(seq, backend="rrr")
+        calls = {"rank": 0, "access": 0}
+        for name in calls:
+            def counted(self, i, _method=getattr(RRRVector, name), _name=name):
+                calls[_name] += 1
+                return _method(self, i)
+            monkeypatch.setattr(RRRVector, name, counted)
+
+        def count(method, *args):
+            calls.update(rank=0, access=0)
+            method(*args)
+            return calls["rank"], calls["access"]
+
+        h = wt.height
+        left, right = wt.expand(wt.root(), 700, 2100)
+        assert count(wt.expand, wt.root(), 700, 2100) == (2, 0)
+        assert count(wt.expand, *right) == (2, 0)
+        for i in (1, 1500, 3000):
+            assert count(wt.access, i - 1) == (h, h)
+            for c in (int(seq[i - 1]), 49):
+                ranks, accesses = count(wt.rank, i, c)
+                assert ranks <= 2 * h and accesses == 0
 
     def test_select_out_of_range(self):
         wt = WaveletTree([0, 1, 0])
