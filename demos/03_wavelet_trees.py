@@ -4,10 +4,11 @@ Wavelet trees: rank/select/access over any alphabet
 
 A wavelet tree decomposes a symbol sequence into one bitmap per level,
 giving rank, select, access, interval symbol counting, and distinct
-counting in O(log sigma) bitmap operations. WaveletTree keeps its levels
-in wavelet-matrix order, over any integer alphabet; byte inputs can also
-use the Huffman-shaped WaveletTreeHuff, which makes frequent symbols
-shallow. The bitmaps can be stored plain or RRR-compressed.
+counting in O(log sigma) bitmap operations. Both shapes here are wavelet
+matrices over any integer alphabet: WaveletTree gives every symbol
+ceil(log2 sigma) levels, and the Huffman-shaped WaveletTreeHuff makes
+frequent symbols shallow. The bitmaps can be stored plain or
+RRR-compressed.
 """
 
 import numpy as np
@@ -40,6 +41,8 @@ print(f"rank({i}, c={c})   :", wt.rank(i, c), huff_rrr.rank(i, c), true_rank)
 j = 1000
 true_pos = int(np.flatnonzero(seq == c)[j - 1])
 print(f"select({j}, c={c})  :", wt.select(j, c), huff.select(j, c), true_pos)
+print(f"access_rank({i}) :", huff.access_rank(i),
+      (int(seq[i]), int((seq[:i] == seq[i]).sum())))
 
 # interval queries: occurrences of c and distinct symbols in a slice
 lo, hi = 200_000, 210_000
@@ -47,3 +50,11 @@ print(f"\ncount(lo, hi, {c}) :", wt.count(lo, hi, c),
       "== numpy", int((seq[lo:hi] == c).sum()))
 print("distinct in slice:", wt.count_distinct(lo, hi),
       "== numpy", len(np.unique(seq[lo:hi])))
+
+# any integer alphabet: word ids well above 255, Huffman-shaped
+words = np.minimum(rng.geometric(0.002, 50_000) + 300, 4_999)
+huff_words = WaveletTreeHuff(words, backend="rrr")
+print(f"\n{len(np.unique(words))} word ids up to {words.max()}: deepest code",
+      huff_words.height, "bits, bytes", f"{huff_words.serialized_bytes():,}")
+print("rank(40000, 301) :", huff_words.rank(40_000, 301),
+      "== numpy", int((words[:40_000] == 301).sum()))

@@ -6,8 +6,9 @@ array access through sampled values, and text extraction:
 * CsaPsi keeps one Elias-Fano list per symbol holding that symbol's
   slice of the Psi permutation, all lists in one SDVector. Pattern
   steps are two rank calls; text walks forward through Psi.
-* CsaWt keeps a wavelet tree over the BWT. Pattern steps are two
-  wavelet ranks; text walks backward through LF.
+* CsaWt keeps a Huffman-shaped wavelet matrix over the BWT, whose
+  symbol counts give the CNT table. Pattern steps are two wavelet ranks;
+  text walks backward through LF, one wavelet walk per step.
 
 Suffix array samples are text-order marks (rows whose value is a
 multiple of the rate), so a walk meets a mark within `rate` steps.
@@ -19,10 +20,9 @@ from bisect import bisect_right
 import numpy as np
 
 from . import serialize
-from .bits import IntVector, width_for
 from .compressed import SDVector
 from .construct import SaSamples, bwt_from_sa, psi_from_bwt
-from .wavelet import WaveletTree, WaveletTreeHuff, read_wavelet
+from .wavelet import WaveletTreeHuff
 
 _U32 = struct.Struct("<I")
 
@@ -160,37 +160,32 @@ class CsaPsi(_CsaBase):
 
 
 class CsaWt(_CsaBase):
-    """Compressed suffix array backed by a wavelet tree over the BWT."""
+    """Compressed suffix array backed by a wavelet matrix over the BWT."""
 
     _tag = "csa_wt"
 
-    def __init__(self, wt, cnt, samples, n):
+    def __init__(self, wt, samples, n):
         self.wt = wt
-        self.cnt = np.asarray(cnt, dtype=np.int64)
+        self.cnt = np.zeros(wt.sigma + 1, dtype=np.int64)
+        np.cumsum(wt.counts, out=self.cnt[1:])
         self.samples = samples
         self.n = n
 
     @classmethod
     def build(cls, text_iv, sa_iv, sigma_total, sample_rate, backend="rrr"):
         bwt_iv = bwt_from_sa(text_iv, sa_iv)
-        bwt = bwt_iv.to_numpy().astype(np.int64)
+        bwt = bwt_iv.to_numpy()
         del bwt_iv
-        hist = np.bincount(bwt, minlength=sigma_total)
-        cnt = np.zeros(sigma_total + 1, dtype=np.int64)
-        np.cumsum(hist, out=cnt[1:])
-        if sigma_total <= 256:
-            wt = WaveletTreeHuff(bwt.astype(np.uint8), backend=backend)
-        else:
-            wt = WaveletTree(bwt, sigma=sigma_total, backend=backend)
+        wt = WaveletTreeHuff(bwt, sigma=sigma_total, backend=backend)
         samples = SaSamples.build(sa_iv, sample_rate)
-        return cls(wt, cnt, samples, text_iv.n)
+        return cls(wt, samples, text_iv.n)
 
     def lf(self, i):
         """Row of the suffix one position earlier in the text."""
         if not 0 <= i < self.n:
             raise self._row_error(i)
-        c = self.wt.access(i)
-        return int(self.cnt[c]) + self.wt.rank(i, c)
+        c, rank = self.wt.access_rank(i)
+        return int(self.cnt[c]) + rank
 
     def _interval_step(self, c, sp, ep):
         base = int(self.cnt[c])
@@ -226,32 +221,27 @@ class CsaWt(_CsaBase):
         for _ in range(steps):
             j = self.lf(j)
         for k in range(length - 1, -1, -1):
-            out[k] = self.wt.access(j)
-            j = self.lf(j)
+            c, rank = self.wt.access_rank(j)
+            out[k] = c
+            j = int(self.cnt[c]) + rank
         return out
 
     def _frame(self):
         return serialize.Frame(
             serialize.MAGIC_CSA_WT, 0, self.n, _U32.pack(self.sigma_total),
-            [
-                ("counts", IntVector(self.cnt, width_for(max(self.n, 1)))),
-                ("bwt_wavelet", self.wt),
-                ("sa_samples", self.samples),
-            ],
+            [("bwt_wavelet", self.wt), ("sa_samples", self.samples)],
         )
 
     @classmethod
     def deserialize(cls, f):
         _, _, _, n = serialize.read_header(f, serialize.MAGIC_CSA_WT)
         (sigma,) = serialize.read_fields(f, _U32.format)
-        cnt = IntVector.deserialize(f).to_numpy().astype(np.int64)
-        if len(cnt) != sigma + 1 or cnt[-1] != n:
-            raise serialize.FormatError("symbol counts do not match sigma and n")
-        wt = read_wavelet(f)
+        wt = WaveletTreeHuff.deserialize(f)
         if wt.n != n:
             raise serialize.FormatError("BWT wavelet length is not n")
-        samples = SaSamples.deserialize(f)
-        return cls(wt, cnt, samples, n)
+        if wt.sigma != sigma:
+            raise serialize.FormatError("BWT symbol counts do not match sigma")
+        return cls(wt, SaSamples.deserialize(f), n)
 
 
 def read_csa(f):

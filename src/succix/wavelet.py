@@ -1,43 +1,154 @@
-"""Wavelet trees over integer sequences.
+"""Wavelet matrices over integer sequences, balanced or Huffman-shaped.
 
-WaveletTree is the balanced shape in wavelet-matrix level order (Claude,
-Navarro & Ordonez, "The wavelet matrix", 2015): one bitvector per level,
-level l holding bit (h-1-l) of every element. Level 0 is the sequence in
-order; level l + 1 is level l's elements with bit 0 followed by those with
-bit 1, each group in its order on level l. With z the zero count of level
-l, an element at position i moves to i - rank1(i) or to z + rank1(i), so a
-node (the elements sharing a path prefix) is one run on every level
-without stored bounds. A node at depth d with prefix p covers symbols
-[p << (h-d), (p+1) << (h-d)).
+Both shapes are one wavelet matrix (Claude, Navarro & Ordonez, "The
+wavelet matrix", 2015): level l holds bit l, counted from the first, of
+every element's code that is longer than l. Level 0 is the sequence in
+order; level l + 1 is level l's elements with bit 0 followed by those
+with bit 1, each group in its order on level l, cut to the elements whose
+code goes on. With z the zero count of level l, the element at position
+i moves to i - rank1(i) or to z + rank1(i). Every element of symbol c
+ends, after its last bit, in one run that starts at c's leaf start, and
+the elements before position i land at the front of that run: so
+rank(i, c) is one bit rank per level and a subtraction, and access(i)
+also yields rank(i, access(i)).
 
-WaveletTreeHuff is the Huffman-shaped byte variant: per-node bitvectors
-along canonical Huffman codes, which makes the total bit count n*H0-ish
-instead of n*ceil(log2 sigma).
+The shapes differ only in the per-symbol table of codes and lengths.
+WaveletTree gives every symbol of [0, sigma) its own value as a code of
+ceil(log2 sigma) bits, so a node (the elements sharing a code prefix) is
+one run on every level and `expand` walks the symbols in order.
+WaveletTreeHuff gives each symbol a Huffman code length, for about n*H0
+bits in place of n*ceil(log2 sigma), with codes assigned level by level
+so that the elements whose code ends on a level are the tail of the next.
 """
 
-import heapq
 import struct
+from bisect import bisect_right
 
 import numpy as np
 
 from . import serialize
+from .bits import IntVector, width_for
 from .compressed import make_bits, read_bits
 
 _BACKEND_IDS = {"plain": 0, "rrr": 1}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
+_MAX_CODE_BITS = 63
 
 
-def _backend_name(kind):
-    if kind not in _BACKEND_NAMES:
-        raise serialize.FormatError(f"unknown bits backend id {kind}")
-    return _BACKEND_NAMES[kind]
+class _WaveletMatrix(serialize.Framed):
+    """The levels and symbol table both shapes share, and their queries.
 
+    A subclass gives `_shape` (the header's width byte), `_lengths(counts)`
+    (the code length of each symbol at build) and `_codes(lengths)` (the
+    codes, and the symbols in matrix order of their leaves, deepest
+    first). The Huffman shape stores its lengths; the balanced shape
+    derives them from sigma.
+    """
 
-class _WaveletBase(serialize.Framed):
-    """Queries both shapes answer the same way, on top of their rank."""
+    _shape = None
+
+    def __init__(self, seq, sigma=None, backend="plain"):
+        seq = np.asarray(seq, dtype=np.int64)
+        if len(seq) and int(seq.min()) < 0:
+            raise ValueError("symbols must be non-negative")
+        if sigma is None:
+            sigma = int(seq.max()) + 1 if len(seq) else 1
+        if sigma < 1:
+            raise ValueError("sigma must be at least 1")
+        if len(seq) and int(seq.max()) >= sigma:
+            raise ValueError("symbol out of range for sigma")
+        self.n = len(seq)
+        self.sigma = int(sigma)
+        self.backend = backend
+        counts = np.bincount(seq, minlength=self.sigma)
+        self._set_table(self._lengths(counts), counts)
+        # each element's code, left-aligned to the height: level l reads
+        # bit (height-1-l)
+        h = self.height
+        keys = self.codes << (h - self.lengths).astype(np.uint64)
+        cur = keys.astype(np.min_scalar_type((1 << h) - 1))[seq]
+        levels = []
+        for level in range(h):
+            bits = ((cur >> (h - 1 - level)) & 1).astype(bool)
+            levels.append(make_bits(bits, backend))
+            if level + 1 < h:
+                # compress runs several times faster than a boolean index;
+                # the elements whose code ended here are the tail
+                cur = np.concatenate((cur.compress(~bits), cur.compress(bits)))
+                cur = cur[: self._level_n[level + 1]]
+        self._finish(levels)
+
+    def _set_table(self, lengths, counts):
+        """Codes, leaf starts and level lengths from the code lengths and
+        counts, one numpy step per depth."""
+        if ((counts > 0) & (lengths == 0)).any():
+            raise serialize.FormatError("a counted symbol has no code")
+        self.counts, self.lengths = counts, lengths
+        self.codes, order = self._codes(lengths)
+        self.height = int(lengths.max())
+        # the leaves of one depth follow the n_d elements whose code is
+        # longer, in matrix order; deeper leaves come first
+        ordered = counts[order]
+        starts = np.zeros(len(counts), dtype=np.int64)
+        starts[order] = np.cumsum(ordered) - ordered
+        per_length = np.zeros(self.height + 1, dtype=np.int64)
+        np.add.at(per_length, lengths, counts)
+        self._level_n = np.cumsum(per_length[::-1])[::-1][1:].tolist()
+        # memoryviews hand out single items as Python ints, several times
+        # cheaper than numpy scalars, and bisect reads them directly
+        self._code, self._length = memoryview(self.codes), memoryview(lengths)
+        self._start = memoryview(starts)
+        # the runs in order of their starts, for access to bisect
+        runs = order[ordered > 0]
+        self._run_starts = memoryview(starts[runs])
+        self._run_syms = memoryview(runs)
+
+    def _finish(self, levels):
+        self.levels = levels
+        self.zeros = [len(bv) - bv.count_ones() for bv in levels]
+        # (level, its zero count, length of the level below it)
+        self._walk = list(zip(levels, self.zeros, self._level_n[1:] + [0]))
 
     def __len__(self):
         return self.n
+
+    def rank(self, i, c):
+        """Occurrences of symbol c in positions [0, i)."""
+        i = int(i)
+        c = int(c)
+        if i <= 0 or not 0 <= c < self.sigma:
+            return 0
+        length = self._length[c]
+        if not length:
+            return 0
+        code = self._code[c]
+        i = min(i, self.n)
+        for bv, z, _ in self._walk:
+            length -= 1
+            if code >> length & 1:
+                i = z + bv.rank(i)
+            else:
+                i -= bv.rank(i)
+            if not length:
+                return i - self._start[c]
+
+    def access_rank(self, i):
+        """(c, rank(i, c)) for the symbol c at position i, in one walk: the
+        walk ends at i's place in c's run."""
+        i = int(i)
+        if not 0 <= i < self.n:
+            raise IndexError("index out of range")
+        for bv, z, below in self._walk:
+            if bv.access(i):
+                i = z + bv.rank(i)
+            else:
+                i -= bv.rank(i)
+            if i >= below:
+                k = bisect_right(self._run_starts, i) - 1
+                return self._run_syms[k], i - self._run_starts[k]
+
+    def access(self, i):
+        return self.access_rank(i)[0]
 
     def select(self, j, c):
         """Position of the j-th (1-based) occurrence of symbol c."""
@@ -58,68 +169,71 @@ class _WaveletBase(serialize.Framed):
         """Occurrences of c in [lo, hi)."""
         return self.rank(hi, c) - self.rank(lo, c)
 
+    def _frame(self):
+        table = [("counts", IntVector(self.counts, width_for(max(self.n, 1))))]
+        if self._shape:
+            width = width_for(_MAX_CODE_BITS)
+            table.insert(0, ("lengths", IntVector(self.lengths, width)))
+        return serialize.Frame(
+            serialize.MAGIC_WT, self._shape, self.n,
+            struct.pack("<BQ", _BACKEND_IDS[self.backend], self.sigma),
+            table + [(f"level{i}", bv) for i, bv in enumerate(self.levels)],
+        )
 
-class WaveletTree(_WaveletBase):
-    """Balanced wavelet tree with rank/select/access and node expansion."""
+    @classmethod
+    def deserialize(cls, f):
+        _, _, shape, n = serialize.read_header(f, serialize.MAGIC_WT)
+        if shape != cls._shape:
+            raise serialize.FormatError(f"not a {cls.__name__} frame")
+        kind, sigma = serialize.read_fields(f, "<BQ")
+        if kind not in _BACKEND_NAMES:
+            raise serialize.FormatError(f"unknown bits backend id {kind}")
+        wt = cls.__new__(cls)
+        wt.n, wt.sigma, wt.backend = n, sigma, _BACKEND_NAMES[kind]
+        lengths = IntVector.deserialize(f).to_numpy() if shape else None
+        counts = IntVector.deserialize(f).to_numpy()
+        if not sigma or len(counts) != sigma or (shape and len(lengths) != sigma):
+            raise serialize.FormatError("symbol table length is not sigma")
+        if (counts > n).any() or int(counts.sum()) != n:
+            raise serialize.FormatError("symbol counts do not sum to n")
+        if shape and (lengths > _MAX_CODE_BITS).any():
+            raise serialize.FormatError(f"code length over {_MAX_CODE_BITS}")
+        counts = counts.astype(np.int64)
+        lengths = lengths.astype(np.int64) if shape else cls._lengths(counts)
+        wt._set_table(lengths, counts)
+        levels = [read_bits(f) for _ in range(wt.height)]
+        if [len(bv) for bv in levels] != wt._level_n:
+            raise serialize.FormatError(
+                "a wavelet level's length is not the number of codes longer "
+                "than it"
+            )
+        wt._finish(levels)
+        return wt
+
+
+class WaveletTree(_WaveletMatrix):
+    """Balanced wavelet matrix with node expansion in symbol order."""
 
     _tag = "wavelet"
+    _shape = 0
+    # the benchmark's tracer patches these in each class's own namespace
+    rank = _WaveletMatrix.rank
+    deserialize = _WaveletMatrix.__dict__["deserialize"]
 
-    def __init__(self, seq, sigma=None, backend="plain"):
-        seq = np.asarray(seq, dtype=np.int64)
-        if len(seq) and int(seq.min()) < 0:
-            raise ValueError("symbols must be non-negative")
-        if sigma is None:
-            sigma = int(seq.max()) + 1 if len(seq) else 1
-        if len(seq) and int(seq.max()) >= sigma:
-            raise ValueError("symbol out of range for sigma")
-        self.n = len(seq)
-        self.sigma = int(sigma)
-        self.height = max(1, (self.sigma - 1).bit_length())
-        self.backend = backend
-        levels = []
-        cur = seq.astype(np.min_scalar_type(self.sigma - 1))
-        for level in range(self.height):
-            bits = ((cur >> (self.height - 1 - level)) & 1).astype(bool)
-            levels.append(make_bits(bits, backend))
-            if level + 1 < self.height:
-                # compress runs several times faster than a boolean index
-                cur = np.concatenate((cur.compress(~bits), cur.compress(bits)))
-        self._finish(levels)
+    @staticmethod
+    def _lengths(counts):
+        height = max(1, (len(counts) - 1).bit_length())
+        return np.full(len(counts), height, dtype=np.int64)
 
-    def _finish(self, levels):
-        self.levels = levels
-        self.zeros = [self.n - bv.count_ones() for bv in levels]
-
-    def access(self, i):
-        i = int(i)
-        if not 0 <= i < self.n:
-            raise IndexError("index out of range")
-        value = 0
-        for bv, z in zip(self.levels, self.zeros):
-            b = bv.access(i)
-            value = value << 1 | b
-            i = z + bv.rank(i) if b else i - bv.rank(i)
-        return value
-
-    def rank(self, i, c):
-        """Occurrences of symbol c in positions [0, i)."""
-        i = int(i)
-        c = int(c)
-        if i <= 0 or not 0 <= c < self.sigma:
-            return 0
-        i = min(i, self.n)
-        # [p, i) is the part of c's node before the query end, level by level
-        p = 0
-        shift = self.height
-        for bv, z in zip(self.levels, self.zeros):
-            shift -= 1
-            if c >> shift & 1:
-                p, i = z + bv.rank(p), z + bv.rank(i)
-            else:
-                p, i = p - bv.rank(p), i - bv.rank(i)
-            if i == p:
-                return 0
-        return i - p
+    @staticmethod
+    def _codes(lengths):
+        # every node above the leaves is internal, so the leaves in matrix
+        # order are the children of all nodes, depth by depth
+        codes = np.arange(len(lengths), dtype=np.uint64)
+        order = np.zeros(1, dtype=np.uint64)  # the root
+        for _ in range(int(lengths[0])):
+            order = np.concatenate((order << 1, order << 1 | 1))
+        return codes, order[order < len(codes)]
 
     def root(self):
         """(depth, prefix) of the root node."""
@@ -166,218 +280,93 @@ class WaveletTree(_WaveletBase):
             stack.append(right)
         return total
 
-    def _frame(self):
-        return serialize.Frame(
-            serialize.MAGIC_WT, 0, self.n,
-            struct.pack(
-                "<BQQ", _BACKEND_IDS[self.backend], self.height, self.sigma
-            ),
-            [(f"level{i}", bv) for i, bv in enumerate(self.levels)],
-        )
-
-    @classmethod
-    def deserialize(cls, f):
-        _, _, shape, n = serialize.read_header(f, serialize.MAGIC_WT)
-        if shape != 0:
-            raise serialize.FormatError("not a balanced wavelet tree frame")
-        kind, height, sigma = serialize.read_fields(f, "<BQQ")
-        if height != max(1, (sigma - 1).bit_length()):
-            raise serialize.FormatError("wavelet height does not match sigma")
-        wt = cls.__new__(cls)
-        wt.n = n
-        wt.sigma = sigma
-        wt.height = height
-        wt.backend = _backend_name(kind)
-        levels = [read_bits(f) for _ in range(height)]
-        if any(len(bv) != n for bv in levels):
-            raise serialize.FormatError("wavelet level length is not n")
-        wt._finish(levels)
-        return wt
-
 
 def huffman_lengths(freqs):
     """Code length per symbol from a {symbol: count} dict.
 
-    Merge ties are broken by the smallest symbol in the subtree so the
-    shape is deterministic across runs.
+    The two-queue method over the counts sorted once: leaves wait in one
+    queue, merged nodes in another (made in non-decreasing weight), and
+    each merge takes the two lightest heads, a leaf first on a tie.
+    Counts are sorted with the smaller symbol first, so the shape is
+    deterministic.
     """
     items = sorted((f, s) for s, f in freqs.items() if f > 0)
-    if not items:
-        return {}
-    if len(items) == 1:
-        return {items[0][1]: 1}
-    heap = [(f, s, (s,)) for f, s in items]
-    heapq.heapify(heap)
-    lengths = {s: 0 for _, s in items}
-    while len(heap) > 1:
-        fa, ma, syms_a = heapq.heappop(heap)
-        fb, mb, syms_b = heapq.heappop(heap)
-        merged = syms_a + syms_b
-        for s in merged:
-            lengths[s] += 1
-        heapq.heappush(heap, (fa + fb, min(ma, mb), merged))
-    return lengths
+    if len(items) <= 1:
+        return {s: 1 for _, s in items}
+    m = len(items)
+    weight = [f for f, _ in items] + [0] * (m - 1)
+    parent = [0] * (2 * m - 1)
+    leaf, merged = 0, m
+    for node in range(m, 2 * m - 1):
+        total = 0
+        for _ in range(2):
+            if leaf < m and (merged == node or weight[leaf] <= weight[merged]):
+                parent[leaf] = node
+                total += weight[leaf]
+                leaf += 1
+            else:
+                parent[merged] = node
+                total += weight[merged]
+                merged += 1
+        weight[node] = total
+    depth = [0] * (2 * m - 1)
+    for node in range(2 * m - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    return {s: depth[k] for k, (_, s) in enumerate(items)}
 
 
-def canonical_codes(lengths):
-    """Assign canonical codes: symbols sorted by (length, symbol).
+def _matrix_codes(lengths):
+    """Codes of the given lengths (0: no code) such that at every depth the
+    internal nodes come first in matrix order (by bit-reversed code), so
+    the elements whose code ends on a level are the tail of the next one.
+    Codes of one length go to the symbols in increasing order. Returns the
+    codes and the coded symbols in matrix order of their leaves, deepest
+    first.
 
-    Returns {symbol: (code, length)}; shorter codes are numerically
-    smaller when left-aligned, which fixes the tree shape.
+    Raises FormatError unless the lengths make a complete prefix code; a
+    single symbol of length 1 is allowed too.
     """
-    order = sorted((l, s) for s, l in lengths.items())
-    codes = {}
-    code = 0
-    prev_len = None
-    for length, sym in order:
-        if prev_len is not None:
-            code = (code + 1) << (length - prev_len)
-        codes[sym] = (code, length)
-        prev_len = length
-    return codes
+    height = int(lengths.max(initial=0))
+    per_depth = np.bincount(lengths, minlength=height + 1).tolist()
+    # a complete prefix code has a Kraft sum (of 2^-length) of exactly 1;
+    # then no depth has more leaves than free nodes, and no more internal
+    # nodes than longer codes
+    kraft = sum(k << (height - d) for d, k in enumerate(per_depth) if d)
+    if kraft != 1 << height and per_depth[1:] != [1]:
+        raise serialize.FormatError("code lengths are not a complete prefix code")
+    codes = np.zeros(len(lengths), dtype=np.uint64)
+    # the symbols of length d are by_length[ends[d - 1]:ends[d]]; lengths
+    # fit a byte, which numpy sorts stably by radix
+    by_length = np.argsort(lengths.astype(np.uint8), kind="stable")
+    ends = np.cumsum(per_depth)
+    internal = np.zeros(1, dtype=np.uint64)  # the root
+    deepest_first = []
+    for depth in range(1, height + 1):
+        # children of the internal nodes, in matrix order
+        nodes = np.concatenate((internal << 1, internal << 1 | 1))
+        leaves = by_length[ends[depth - 1] : ends[depth]]
+        n_internal = len(nodes) - len(leaves)
+        codes[leaves] = nodes[n_internal:]
+        internal = nodes[:n_internal]
+        deepest_first.insert(0, leaves)
+    return codes, np.concatenate(deepest_first)
 
 
-class WaveletTreeHuff(_WaveletBase):
-    """Huffman-shaped wavelet tree with one bitvector per internal node."""
+class WaveletTreeHuff(_WaveletMatrix):
+    """Huffman-shaped wavelet matrix over any integer alphabet."""
 
     _tag = "wavelet_huff"
+    _shape = 1
+    # the benchmark's tracer patches rank in each class's own namespace
+    rank = _WaveletMatrix.rank
 
-    def __init__(self, seq, backend="plain"):
-        seq = np.asarray(seq, dtype=np.int64)
-        if len(seq) == 0:
+    @staticmethod
+    def _lengths(counts):
+        if not counts.any():
             raise ValueError("cannot build over an empty sequence")
-        if int(seq.min()) < 0 or int(seq.max()) > 255:
-            raise ValueError("symbols must be bytes (0..255)")
-        self.n = len(seq)
-        self.backend = backend
-        syms, counts = np.unique(seq, return_counts=True)
-        freqs = {int(s): int(c) for s, c in zip(syms, counts)}
-        self.codes = canonical_codes(huffman_lengths(freqs))
-        self._build_trie()
-        self._build_nodes(seq)
-
-    def _build_trie(self):
-        # children[node] = [left, right]; leaves are ('leaf', symbol)
-        children = [[None, None]]
-        for sym in sorted(self.codes):
-            code, length = self.codes[sym]
-            node = 0
-            for d in range(length):
-                bit = (code >> (length - 1 - d)) & 1
-                if d == length - 1:
-                    children[node][bit] = ("leaf", sym)
-                else:
-                    nxt = children[node][bit]
-                    if nxt is None:
-                        children.append([None, None])
-                        nxt = ("node", len(children) - 1)
-                        children[node][bit] = nxt
-                    node = nxt[1]
-        self.children = children
-
-    def _build_nodes(self, seq):
-        # bit of symbol s at code depth d, per node walk
-        max_len = max(l for _, l in self.codes.values())
-        bit_table = np.zeros((max_len, 256), dtype=np.uint8)
-        for sym, (code, length) in self.codes.items():
-            for d in range(length):
-                bit_table[d, sym] = (code >> (length - 1 - d)) & 1
-        nodes = [None] * len(self.children)
-        stack = [(0, 0, seq)]
-        while stack:
-            node, depth, sub = stack.pop()
-            bits = bit_table[depth, sub]
-            nodes[node] = make_bits(bits.astype(bool), self.backend)
-            for bit in (1, 0):
-                child = self.children[node][bit]
-                if child is not None and child[0] == "node":
-                    stack.append((child[1], depth + 1, sub[bits == bit]))
-        self.nodes = nodes
-
-    @property
-    def sigma(self):
-        return len(self.codes)
-
-    def access(self, i):
-        i = int(i)
-        if not 0 <= i < self.n:
-            raise IndexError("index out of range")
-        node = 0
-        while True:
-            bv = self.nodes[node]
-            b = bv.access(i)
-            i = (bv.rank(i) if b else i - bv.rank(i))
-            child = self.children[node][b]
-            if child[0] == "leaf":
-                return child[1]
-            node = child[1]
-
-    def rank(self, i, c):
-        """Occurrences of symbol c in positions [0, i)."""
-        i = int(i)
-        c = int(c)
-        if c not in self.codes:
-            return 0
-        i = max(0, min(i, self.n))
-        code, length = self.codes[c]
-        node = 0
-        for d in range(length):
-            if i == 0:
-                return 0
-            bit = (code >> (length - 1 - d)) & 1
-            bv = self.nodes[node]
-            i = bv.rank(i) if bit else i - bv.rank(i)
-            if d < length - 1:
-                node = self.children[node][bit][1]
-        return i
-
-    def _frame(self):
-        syms = sorted(self.codes)
-        head = struct.pack("<BH", _BACKEND_IDS[self.backend], len(syms))
-        table = bytes(v for s in syms for v in (s, self.codes[s][1]))
-        return serialize.Frame(
-            serialize.MAGIC_WT, 1, self.n, head + table,
-            [(f"node{node}", self.nodes[node]) for node in self._preorder()],
+        by_symbol = huffman_lengths(dict(enumerate(counts.tolist())))
+        return np.array(
+            [by_symbol.get(s, 0) for s in range(len(counts))], dtype=np.int64
         )
 
-    def _preorder(self):
-        order = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            for bit in (1, 0):
-                child = self.children[node][bit]
-                if child is not None and child[0] == "node":
-                    stack.append(child[1])
-        return order
-
-    @classmethod
-    def deserialize(cls, f):
-        _, _, shape, n = serialize.read_header(f, serialize.MAGIC_WT)
-        if shape != 1:
-            raise serialize.FormatError("not a huffman wavelet tree frame")
-        kind, nsym = serialize.read_fields(f, "<BH")
-        raw = serialize.read_fields(f, f"<{2 * nsym}B")
-        lengths = {raw[2 * k]: raw[2 * k + 1] for k in range(nsym)}
-        wt = cls.__new__(cls)
-        wt.n = n
-        wt.backend = _backend_name(kind)
-        wt.codes = canonical_codes(lengths)
-        wt._build_trie()
-        order = wt._preorder()
-        nodes = [None] * len(wt.children)
-        for node in order:
-            nodes[node] = read_bits(f)
-        if len(nodes[0]) != n:
-            raise serialize.FormatError("wavelet root length is not n")
-        wt.nodes = nodes
-        return wt
-
-
-def read_wavelet(f):
-    """Deserialize either wavelet shape, dispatching on the header."""
-    pos = f.tell()
-    _, _, shape, _ = serialize.read_header(f, serialize.MAGIC_WT)
-    f.seek(pos)
-    return (WaveletTree if shape == 0 else WaveletTreeHuff).deserialize(f)
+    _codes = staticmethod(_matrix_codes)

@@ -137,7 +137,7 @@ def test_wide_alphabet_uses_pointerless_tree():
     text_iv = IntVector(text, width_for(301))
     sa_iv = IntVector(sa, width_for(n - 1))
     csa = CsaWt.build(text_iv, sa_iv, 302, 4)
-    assert isinstance(csa.wt, WaveletTree)
+    assert isinstance(csa.wt, WaveletTreeHuff) and csa.wt.sigma == 302
     narrow = CsaWt.build(
         IntVector(TEXT, 2), IntVector(SA, 3), 4, 2
     )
@@ -202,7 +202,36 @@ def test_csa_wt_rejects_counts_not_sigma():
 
 def test_csa_wt_rejects_counts_not_n():
     _, csa = example_csas()
-    csa.cnt = csa.cnt.copy()
-    csa.cnt[-1] -= 1
+    # CNT is read from the BWT wavelet's symbol counts
+    csa.wt.counts = csa.wt.counts.copy()
+    csa.wt.counts[-1] -= 1
     with pytest.raises(FormatError, match="counts"):
         _reload_csa_wt(csa)
+
+
+@pytest.mark.parametrize("backend", ["plain", "rrr"])
+@pytest.mark.parametrize("shape", [WaveletTree, WaveletTreeHuff])
+def test_lf_is_one_access_rank_walk(shape, backend):
+    """lf(i) = cnt[c] + rank(i, c) for c = BWT[i], and it is the row of the
+    suffix one position earlier, on every row."""
+    rng = np.random.default_rng(78)
+    n = 400
+    text = rng.choice(np.arange(2, 40), size=n - 1, p=_skewed(38)).tolist() + [0]
+    sa = oracles.suffix_array(text)
+    isa = oracles.inverse_permutation(sa)
+    bwt = [text[p - 1] for p in sa]
+    sa_iv = IntVector(sa, width_for(n - 1))
+    samples = CsaWt.build(IntVector(text, width_for(39)), sa_iv, 40, 8).samples
+    csa = CsaWt(shape(bwt, sigma=40, backend=backend), samples, n)
+    for i in range(n):
+        c = csa.wt.access(i)
+        assert c == bwt[i]
+        assert csa.wt.access_rank(i) == (c, csa.wt.rank(i, c))
+        assert csa.lf(i) == csa.cnt[c] + csa.wt.rank(i, c) == isa[sa[i] - 1]
+    assert [csa.sa_access(i) for i in range(n)] == sa
+    assert csa.extract(0, n).tolist() == text
+
+
+def _skewed(k):
+    p = 1.0 / np.arange(1, k + 1) ** 1.5
+    return p / p.sum()

@@ -346,3 +346,36 @@ def test_every_composition_saves_loads_and_agrees(mode, tmp_path):
                     assert [(h.doc, h.tf) for h in got] == expected[:k]
             assert back.df(raw) == sort.df(raw) == len(expected)
     assert len(seen) == 6
+
+
+def test_wide_skewed_word_corpus_every_composition(tmp_path):
+    """sigma > 256 and a skew that gives the BWT wavelet codes of more than
+    8 bits: every composition agrees with sort and with the naive lists,
+    and saves and loads."""
+    rng = np.random.default_rng(1116)
+    vocab = [f"w{i}" for i in range(700)]
+    p = 1.0 / np.arange(1, 701)
+    p /= p.sum()
+    docs = [
+        [vocab[i] for i in rng.choice(700, size=int(rng.integers(5, 100)), p=p)]
+        for _ in range(50)
+    ]
+    coll = Collection(docs, WordAlphabet.from_docs(docs))
+    sort = build_sort(coll)
+    assert coll.sigma_total > 256 and sort.csa.wt.height > 8
+    joined = [s for doc in docs for s in doc]
+    patterns = [[vocab[0]], [vocab[300]], joined[5:7], joined[40:43]]
+    for index in compositions(coll):
+        path = tmp_path / f"{index.algo}-{type(index.csa).__name__}.idx"
+        n_bytes = index.save(path)
+        back = load_index(path)
+        again = io.BytesIO()
+        assert back.serialize(again) == n_bytes
+        assert again.getvalue() == path.read_bytes()
+        for pattern in patterns:
+            expected = naive_pairs(docs, pattern)
+            for ranking in ("freq", "tfidf"):
+                got = back.query(pattern, 5, ranking)
+                assert got == sort.query(pattern, 5, ranking)
+                assert [(h.doc, h.tf) for h in got] == expected[:5]
+            assert back.df(pattern) == len(expected)

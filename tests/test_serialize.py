@@ -195,12 +195,12 @@ def test_frame_sizes_agree_and_reload_is_byte_identical(obj, reader):
     assert again.getvalue() == data
 
 
-# Files written by version 3 of this format for the worked example
+# Files written by version 4 of this format for the worked example
 # (default build options); a layout change must bump FORMAT_VERSION.
 EXAMPLE_INDEX_SHA256 = {
-    "sada": "ba73489fa1ea185947caccc895883c62048f977b15f80aceaafdf4a9f75274dd",
-    "greedy": "feb1f5dce613980fb9c9ba6e92432ac85015e3f966841aac271c618a829ce491",
-    "sort": "3842d8381e7303754aeb7822afe252e689bbfe3696b83057d30bcaf6aea081b5",
+    "sada": "4664592c90ac6b450d3158afad8fc5e0e80a7bfde1bdbcd781c1e5c114eeb13c",
+    "greedy": "a8ba1a7f5f50e62787c805761847b4a8216ed1b68616cb7d1c9af1cb626abd98",
+    "sort": "a7d832aa5e9ee08bd3e14d0300ece07e15cacf9fc1b200d059e1438b1b1282ef",
 }
 
 
@@ -213,19 +213,34 @@ def test_example_index_bytes_are_pinned(algo):
     assert digest == EXAMPLE_INDEX_SHA256[algo]
 
 
-@pytest.mark.parametrize("algo", ["sada", "greedy"])
-def test_format_2_files_raise_format_error(algo):
-    """Format 2 kept the balanced wavelet tree's levels in prefix order, so
-    a file with its version bytes must not load."""
+def _with_version(algo, version):
+    """The worked example's index file with every header's version byte
+    set to `version`."""
     coll = Collection(DOCS, ByteAlphabet.from_docs(DOCS))
     index = build_index(algo, coll)
     buf = io.BytesIO()
     index.serialize(buf)
     data = bytearray(buf.getvalue())
     for p in _header_offsets(index):
-        data[p + 8] = 2
+        data[p + 8] = version
+    return bytes(data)
+
+
+@pytest.mark.parametrize("algo", ["sada", "greedy"])
+def test_format_2_files_raise_format_error(algo):
+    """Format 2 kept the balanced wavelet tree's levels in prefix order, so
+    a file with its version bytes must not load."""
     with pytest.raises(serialize.FormatError, match="version 2"):
-        read_index(io.BytesIO(bytes(data)))
+        read_index(io.BytesIO(_with_version(algo, 2)))
+
+
+@pytest.mark.parametrize("algo", ["sada", "greedy", "sort"])
+def test_format_3_files_raise_format_error(algo):
+    """Format 3 had no symbol table in the wavelet frames and a pointer
+    Huffman tree under CsaWt, so a file with its version bytes must not
+    load."""
+    with pytest.raises(serialize.FormatError, match="version 3"):
+        read_index(io.BytesIO(_with_version(algo, 3)))
 
 
 def _small_indexes(rng):

@@ -1,28 +1,30 @@
+import heapq
 import io
 
 import numpy as np
 import pytest
 
 import oracles
+from succix.bits import IntVector
 from succix.compressed import RRRVector, make_bits
 from succix.serialize import HEADER_BYTES, FormatError
-from succix.wavelet import (
-    WaveletTree,
-    WaveletTreeHuff,
-    canonical_codes,
-    huffman_lengths,
-    read_wavelet,
-)
+from succix.wavelet import WaveletTree, WaveletTreeHuff, huffman_lengths
 
 
-def reload(wt, patch=None):
-    """Read back wt's serialization, with bytes {offset: value} patched."""
+def reload(wt, patch=None, **parts):
+    """Read back wt's serialization, with bytes {offset: value} patched and
+    the named frame parts replaced."""
+    frame = wt._frame()
+    frame = frame._replace(
+        parts=[(name, parts.get(name, part)) for name, part in frame.parts]
+    )
+    wt._frame = lambda: frame
     buf = io.BytesIO()
     wt.serialize(buf)
     data = bytearray(buf.getvalue())
     for pos, value in (patch or {}).items():
         data[pos] = value
-    return read_wavelet(io.BytesIO(bytes(data)))
+    return type(wt).deserialize(io.BytesIO(bytes(data)))
 
 
 def wt_level_bits(wt, level):
@@ -182,8 +184,7 @@ class TestBalanced:
         written = wt.serialize(buf)
         assert written == wt.serialized_bytes() == len(buf.getvalue())
         buf.seek(0)
-        wt2 = read_wavelet(buf)
-        assert isinstance(wt2, WaveletTree)
+        wt2 = WaveletTree.deserialize(buf)
         assert wt2.sigma == wt.sigma and wt2.backend == backend
         assert [wt2.access(i) for i in range(0, 500, 17)] == [
             wt.access(i) for i in range(0, 500, 17)
@@ -229,24 +230,33 @@ class TestHuffmanCodes:
             expect_cost = sum(freqs[s] * expect[s] for s in freqs)
             assert cost == expect_cost
 
-    def test_canonical_codes_prefix_free(self):
-        lengths = {7: 2, 3: 1, 9: 3, 12: 3}
-        codes = canonical_codes(lengths)
-        assert codes[3] == (0, 1)
-        assert codes[7] == (2, 2)
-        assert codes[9] == (6, 3)
-        assert codes[12] == (7, 3)
-        strings = {
-            format(c, f"0{l}b") for c, l in codes.values()
-        }
-        for a in strings:
-            for b in strings:
-                if a != b:
-                    assert not b.startswith(a)
+    @pytest.mark.parametrize("case", ["wide", "fibonacci"])
+    def test_lengths_are_optimal_when_large_or_deep(self, case):
+        rng = np.random.default_rng(41)
+        if case == "wide":
+            freqs = {s: int(f) for s, f in enumerate(rng.integers(1, 9, 5000))}
+        else:
+            fib = [1, 1]
+            while len(fib) < 36:
+                fib.append(fib[-1] + fib[-2])
+            freqs = {s: f for s, f in enumerate(rng.permutation(fib).tolist())}
+        lengths = huffman_lengths(freqs)
+        assert set(lengths) == set(freqs)
+        # an optimal code costs the sum of all merged weights
+        heap = list(freqs.values())
+        heapq.heapify(heap)
+        expect_cost = 0
+        while len(heap) > 1:
+            merged = heapq.heappop(heap) + heapq.heappop(heap)
+            expect_cost += merged
+            heapq.heappush(heap, merged)
+        assert sum(freqs[s] * lengths[s] for s in freqs) == expect_cost
+        assert sum(2.0 ** -l for l in lengths.values()) == 1.0
+        if case == "fibonacci":
+            assert max(lengths.values()) >= 30
 
     def test_single_symbol(self):
         assert huffman_lengths({5: 10}) == {5: 1}
-        assert canonical_codes({5: 1}) == {5: (0, 1)}
 
 
 class TestHuffShaped:
@@ -256,7 +266,7 @@ class TestHuffShaped:
         # skewed byte distribution
         seq = rng.choice([65, 66, 67, 100, 200], size=900, p=[0.5, 0.25, 0.12, 0.08, 0.05])
         wt = WaveletTreeHuff(seq, backend=backend)
-        assert wt.sigma == 5
+        assert wt.sigma == 201 and np.count_nonzero(wt.lengths) == 5
         for i in rng.integers(0, 900, size=60):
             assert wt.access(int(i)) == int(seq[i])
         for c in (65, 66, 200, 7):
@@ -293,9 +303,8 @@ class TestHuffShaped:
         written = wt.serialize(buf)
         assert written == wt.serialized_bytes() == len(buf.getvalue())
         buf.seek(0)
-        wt2 = read_wavelet(buf)
-        assert isinstance(wt2, WaveletTreeHuff)
-        assert wt2.codes == wt.codes
+        wt2 = WaveletTreeHuff.deserialize(buf)
+        assert np.array_equal(wt2.codes, wt.codes)
         for i in range(0, 700, 31):
             assert wt2.access(i) == wt.access(i)
         # same content must re-serialize to the same bytes
@@ -318,7 +327,151 @@ class TestHuffShaped:
         with pytest.raises(ValueError):
             WaveletTreeHuff([])
         with pytest.raises(ValueError):
-            WaveletTreeHuff([300])
+            WaveletTreeHuff([-1])
+        assert WaveletTreeHuff([300]).access(0) == 300
+
+    def test_rejects_code_longer_than_63(self):
+        wt = WaveletTreeHuff(np.arange(40) % 6)
+        lengths = wt.lengths.copy()
+        lengths[0] = 64
+        with pytest.raises(FormatError, match="over 63"):
+            reload(wt, lengths=IntVector(lengths, 7))
+
+    @pytest.mark.parametrize("change", ["longer", "shorter", "all 63", "none"])
+    def test_rejects_lengths_not_a_complete_prefix_code(self, change):
+        wt = WaveletTreeHuff(np.arange(40) % 6)
+        lengths = wt.lengths.copy()
+        if change == "longer":
+            lengths[np.argmax(lengths)] += 1  # Kraft sum below 1
+        elif change == "shorter":
+            lengths[np.argmax(lengths)] -= 1  # above 1
+        elif change == "all 63":
+            lengths[:] = 63
+        else:
+            lengths[:] = 0
+        with pytest.raises(FormatError, match="prefix code|has no code"):
+            reload(wt, lengths=IntVector(lengths, 6))
+
+    def test_rejects_counts_not_summing_to_n(self):
+        wt = WaveletTreeHuff(np.arange(40) % 6)
+        counts = wt.counts.copy()
+        counts[2] += 1
+        with pytest.raises(FormatError, match="counts"):
+            reload(wt, counts=IntVector(counts, 6))
+
+    def test_rejects_level_not_its_code_count(self):
+        wt = WaveletTreeHuff(np.arange(40) % 6)
+        last = wt.height - 1
+        assert 0 < len(wt.levels[last]) < wt.n
+        # one bit short of the elements whose code reaches the last level
+        short = make_bits(wt.levels[last].bits.to_numpy()[:-1].astype(bool))
+        with pytest.raises(FormatError, match="level"):
+            reload(wt, **{f"level{last}": short})
+
+    def test_rejects_table_longer_than_sigma(self):
+        wt = WaveletTreeHuff(np.arange(40) % 6)
+        # sigma is the u64 after the backend byte
+        with pytest.raises(FormatError, match="sigma"):
+            reload(wt, {HEADER_BYTES + 1: wt.sigma - 1})
+
+
+def _random_lengths(rng, n_leaves):
+    """Leaf depths of a random full binary tree with n_leaves leaves."""
+    depths = [0]
+    for _ in range(n_leaves - 1):
+        d = depths.pop(int(rng.integers(0, len(depths))))
+        depths += [d + 1, d + 1]
+    return depths
+
+
+def _length_sets(rng):
+    yield "one symbol", [1]
+    yield "two symbols", [1, 1]
+    yield "all equal", [4] * 16
+    yield "fibonacci", list(range(1, 20)) + [19]
+    for k in (3, 7, 40, 300):
+        yield f"random {k}", _random_lengths(rng, k)
+
+
+class TestSharedCore:
+    """The matrix both shapes share, over complete code length sets given
+    directly (in place of the Huffman lengths of the counts)."""
+
+    @pytest.mark.parametrize("backend", ["plain", "rrr"])
+    def test_property_over_length_sets(self, backend, monkeypatch):
+        rng = np.random.default_rng(42)
+        for name, depths in _length_sets(rng):
+            # symbols spread over [0, 5000), most of them above 255
+            symbols = rng.choice(5000, size=len(depths), replace=False)
+            lengths = np.zeros(5000, dtype=np.int64)
+            lengths[symbols] = depths
+            seq = rng.permutation(
+                np.repeat(symbols, rng.integers(1, 30, size=len(symbols)))
+            )
+            monkeypatch.setattr(
+                WaveletTreeHuff, "_lengths", staticmethod(lambda _: lengths)
+            )
+            wt = WaveletTreeHuff(seq, sigma=5000, backend=backend)
+            assert np.array_equal(wt.lengths, lengths), name
+            self._check_prefix_free(wt, symbols)
+            self._check_levels(wt, seq)
+            self._check_queries(wt, seq, symbols, rng)
+            assert reload(wt).access(0) == seq[0]
+
+    @staticmethod
+    def _check_prefix_free(wt, symbols):
+        words = sorted(
+            format(int(wt.codes[s]), f"0{int(wt.lengths[s])}b") for s in symbols
+        )
+        for a, b in zip(words, words[1:]):
+            assert not b.startswith(a)
+
+    @staticmethod
+    def _check_levels(wt, seq):
+        """Each level holds bit l of every code longer than l, and the
+        elements whose code ends there are the tail of the next order."""
+        codes, lengths = wt.codes.astype(np.int64), wt.lengths
+        cur = seq
+        for level, bv in enumerate(wt.levels):
+            shift = lengths[cur] - 1 - level
+            bits = (codes[cur] >> shift) & 1
+            assert [bv.access(i) for i in range(len(bv))] == bits.tolist()
+            order = np.concatenate((cur[bits == 0], cur[bits == 1]))
+            ended = lengths[order] == level + 1
+            tail = len(order) - int(ended.sum())
+            assert not ended[:tail].any() and ended[tail:].all()
+            cur = order[:tail]
+        assert len(cur) == 0
+
+    @staticmethod
+    def _check_queries(wt, seq, symbols, rng):
+        n = len(seq)
+        for i in rng.integers(0, n, size=40).tolist() + [0, n - 1]:
+            c = int(seq[i])
+            rank = int(np.count_nonzero(seq[:i] == c))
+            assert wt.access(i) == c
+            assert wt.access_rank(i) == (c, rank)
+        for c in rng.choice(symbols, size=min(len(symbols), 6)).tolist() + [7, 4999]:
+            positions = np.flatnonzero(seq == c)
+            for i in (0, 1, n // 2, n, n + 3):
+                assert wt.rank(i, c) == int(np.count_nonzero(seq[:i] == c))
+            if len(positions):
+                assert wt.select(len(positions), c) == int(positions[-1])
+
+    @pytest.mark.parametrize("shape", [WaveletTree, WaveletTreeHuff])
+    def test_rank_takes_one_bit_rank_per_code_bit(self, shape, monkeypatch):
+        rng = np.random.default_rng(43)
+        seq = rng.choice(300, size=3000, p=_zipf_probs(300))
+        wt = shape(seq, sigma=300, backend="rrr")
+        calls = []
+        rank = RRRVector.rank
+        monkeypatch.setattr(
+            RRRVector, "rank", lambda self, i: calls.append(i) or rank(self, i)
+        )
+        for c in (0, 1, 17, 299):
+            calls.clear()
+            assert wt.rank(2000, c) == int(np.count_nonzero(seq[:2000] == c))
+            assert len(calls) == wt.lengths[c]
 
 
 def _zipf_probs(k, s=1.3):
