@@ -156,32 +156,58 @@ def gather_ints(words, width, positions):
     )
 
 
-# below this many whole groups of lcm(width, 64) bits, the per-column numpy
-# calls cost more than gather_ints takes for the whole read
-_COLUMN_GROUPS = 512
+# reads of up to this many values go one byte per bit: a few numpy calls
+# whose cost grows with the values, against gather_ints' dozen
+_BYTE_PER_BIT_READ = 64
+# from this many values on, eight strided column reads beat gather_ints
+_OCTET_READ = 2048
+
+
+def _unpack_bit_bytes(words, width, start, count):
+    """unpack_ints through one byte per bit."""
+    lo = start * width
+    bits = np.unpackbits(
+        words[lo >> 6 : -(-(lo + count * width) // 64)].view(np.uint8),
+        count=(lo & 63) + count * width, bitorder="little",
+    )[lo & 63 :]
+    # each value's bits as whole bytes, then widened to 8 bytes
+    packed = np.packbits(bits.reshape(count, width), axis=1, bitorder="little")
+    out = np.zeros((count, 8), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view("<u8").ravel()
 
 
 def unpack_ints(words, width, start, count):
-    """Extract count packed values beginning at index start: the whole
-    groups of a long read column by column, as pack_ints writes them, and
-    everything else through gather_ints."""
-    per_group = math.lcm(width, 64) // width
-    g0, g1 = -(-start // per_group), (start + count) // per_group
-    if g1 - g0 < _COLUMN_GROUPS:
+    """Extract count packed values beginning at index start: a short read
+    one byte per bit, a long one by octets of values, and everything else
+    through gather_ints.
+
+    Eight values fill `width` whole bytes, so value j of every octet is an
+    8-byte read at a stride of `width` bytes, shifted by (j * width) % 8
+    bits. The largest shift is 8 - gcd(width, 8), so that read holds the
+    whole value at every width up to 58, and at 60 and 64.
+    """
+    if count <= _BYTE_PER_BIT_READ:
+        return _unpack_bit_bytes(words, width, start, count)
+    if count < _OCTET_READ or width + 8 - math.gcd(width, 8) > 64:
         return gather_ints(words, width, np.arange(start, start + count))
+    raw = words.view(np.uint8)
+    head = -start % 8
+    b0 = (start + head) * width >> 3
+    # the last read of an octet may run 8 bytes past its start
+    octets = min((count - head) // 8, (len(raw) - 8 - b0) // width)
     out = np.empty(count, dtype=np.uint64)
-    head, tail = g0 * per_group - start, g1 * per_group - start
-    out[:head] = unpack_ints(words, width, start, head)
-    out[tail:] = unpack_ints(words, width, start + tail, count - tail)
-    wpg = per_group * width // 64  # words per group
-    words2d = words[g0 * wpg : g1 * wpg].reshape(g1 - g0, wpg)
-    vals2d = out[head:tail].reshape(g1 - g0, per_group)
-    for j in range(per_group):
-        wi, sh = j * width >> 6, j * width & 63
-        col = words2d[:, wi] >> np.uint64(sh)
-        if sh + width > 64:
-            col |= words2d[:, wi + 1] << np.uint64(64 - sh)
-        np.bitwise_and(col, mask_for(width), out=vals2d[:, j])
+    body = out[head : head + 8 * octets].reshape(octets, 8)
+    for j in range(8):
+        col = np.ndarray(
+            (octets,), dtype="<u8", buffer=raw, offset=b0 + (j * width >> 3),
+            strides=(width,),
+        )
+        np.right_shift(col, np.uint64(j * width & 7), out=body[:, j])
+    body &= mask_for(width)
+    tail = head + 8 * octets
+    out[:head] = _unpack_bit_bytes(words, width, start, head)
+    out[tail:] = _unpack_bit_bytes(words, width, start + tail, count - tail)
     return out
 
 

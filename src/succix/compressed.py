@@ -44,6 +44,8 @@ _WIDTH_TABLE = {
 }
 # zero bits of a block by class, as a bytes.translate table
 _ZERO_TABLE = {t: bytes(range(t, -1, -1)) + bytes(255 - t) for t in BLOCK_SIZES}
+# the widest class field of each block size; a vector stores its classes
+# at the width of its largest class
 _CLASS_BITS = {15: 4, 31: 5, 63: 6}
 
 # per-class binomial columns for arithmetic decode: _COLS[t][i][p] = C(p, i)
@@ -147,6 +149,7 @@ class RRRVector(serialize.Framed):
                 offs[b] = o
         self.nblocks = nblocks
         self.classes = classes.tobytes()
+        self.class_width = width_for(int(classes.max(initial=0)))
         widths = _OFF_WIDTH[t][classes]
         starts = np.zeros(nblocks + 1, dtype=np.int64)
         np.cumsum(widths, out=starts[1:])
@@ -162,6 +165,11 @@ class RRRVector(serialize.Framed):
         self.total_ones = int(cum_rank[-1])
 
     def _finish(self):
+        # superblock entries as uint32 where they fit, half of int64
+        self.sb_ranks, self.sb_ptrs = (
+            a.astype(np.uint32 if int(a.max(initial=0)) >> 32 == 0 else np.int64)
+            for a in (self.sb_ranks, self.sb_ptrs)
+        )
         nbytes = len(self.classes) + self.sb_ranks.nbytes + self.sb_ptrs.nbytes
         register_allocation(self, nbytes, "rrr_vector")
         sb_bits = np.arange(len(self.sb_ranks)) * (self.SB_BLOCKS * self.t)
@@ -266,7 +274,7 @@ class RRRVector(serialize.Framed):
     def _frame(self):
         return serialize.Frame(serialize.MAGIC_RRR, self.t, self.n, b"", [
             ("classes", IntVector(
-                np.frombuffer(self.classes, dtype=np.uint8), _CLASS_BITS[self.t]
+                np.frombuffer(self.classes, dtype=np.uint8), self.class_width
             )),
             ("offsets", self.offsets),
             ("pointers", IntVector(
@@ -291,14 +299,15 @@ class RRRVector(serialize.Framed):
         ptr_iv = IntVector.deserialize(f)
         rnk_iv = IntVector.deserialize(f)
         nsb = -(-rv.nblocks // cls.SB_BLOCKS)
-        if (cls_iv.n, cls_iv.width, ptr_iv.n, rnk_iv.n) != (
-            rv.nblocks, _CLASS_BITS[t], nsb + 1, nsb + 1
-        ):
+        if (cls_iv.n, ptr_iv.n, rnk_iv.n) != (rv.nblocks, nsb + 1, nsb + 1):
             raise serialize.FormatError("RRR vectors do not match n and t")
+        if cls_iv.width > _CLASS_BITS[t]:
+            raise serialize.FormatError(f"RRR class width {cls_iv.width} over t")
+        rv.class_width = cls_iv.width
         rv.classes = cls_iv.to_numpy().astype(np.uint8).tobytes()
         rv.offsets = off_iv
-        rv.sb_ptrs = ptr_iv.to_numpy().astype(np.int64)
-        rv.sb_ranks = rnk_iv.to_numpy().astype(np.int64)
+        rv.sb_ptrs = ptr_iv.to_numpy()
+        rv.sb_ranks = rnk_iv.to_numpy()
         rv.total_ones = int(rv.sb_ranks[-1]) if len(rv.sb_ranks) else 0
         rv._finish()
         return rv

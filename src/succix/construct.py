@@ -19,7 +19,7 @@ import numpy as np
 
 from . import serialize
 from .bits import IntVector, gather_ints, pack_fields, pack_ints, read_field, width_for
-from .compressed import SDVector
+from .compressed import _DEC15, _DEC15_START, RRRVector, SDVector
 
 GLOBAL_TERMINATOR = 0
 DOC_TERMINATOR = 1
@@ -424,10 +424,13 @@ class SaSamples(serialize.Framed):
     """Sampled suffix array values plus inverse samples.
 
     Marks rows whose SA value is a multiple of the rate, so any Psi/LF walk
-    reaches a mark within `rate` steps.
+    reaches a mark within `rate` steps. The mark is an RRR vector of
+    15-bit blocks, so that most rows learn from one class byte that they
+    are not sampled.
     """
 
     _tag = "sa_samples"
+    BLOCK = 15
 
     def __init__(self, rate, marked, values, isa_rows, n):
         self.rate = rate
@@ -435,6 +438,12 @@ class SaSamples(serialize.Framed):
         self.values = values
         self.isa_rows = isa_rows
         self.n = n
+        # lookup reads the mark's fields without calling into it
+        self._classes = marked.classes
+        self._widths = marked._widths
+        self._ptrs = marked._ptrs
+        self._ranks = marked._ranks
+        self._offsets = marked._words
 
     @classmethod
     def build(cls, sa_iv, rate, chunk=_CHUNK):
@@ -443,22 +452,20 @@ class SaSamples(serialize.Framed):
         n_text = (n + rate - 1) // rate
         isa_rows = np.zeros(n_text, dtype=np.int64)
         row_width = width_for(max(n - 1, 1))
-        row_chunks = []
+        marks = np.zeros(n, dtype=bool)
         val_chunks = []
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             sa_chunk = sa_iv.to_numpy(start, stop).astype(np.int64)
             hit = sa_chunk % rate == 0
-            rows = start + np.flatnonzero(hit)
+            marks[start:stop] = hit
             t = sa_chunk[hit] // rate
-            isa_rows[t] = rows
-            row_chunks.append(rows)
+            isa_rows[t] = start + np.flatnonzero(hit)
             val_chunks.append(t)
-        all_rows = np.concatenate(row_chunks)
-        all_vals = np.concatenate(val_chunks)
-        marked = SDVector(all_rows, n)
+        marked = RRRVector(marks, cls.BLOCK)
+        del marks
         values = IntVector(
-            all_vals, width_for(max((n - 1) // rate, 1))
+            np.concatenate(val_chunks), width_for(max((n - 1) // rate, 1))
         )
         return cls(
             rate, marked, values,
@@ -466,10 +473,34 @@ class SaSamples(serialize.Framed):
         )
 
     def lookup(self, row):
-        """SA value at this row if the row is sampled, else None."""
-        before, hit = self.marked.rank_access(row)
-        if not hit:
+        """SA value at this row if the row is sampled, else None.
+
+        A row whose block has class 0 holds no sample (at rate 32 that is
+        (31/32)^15, about 62% of rows). Otherwise the block is decoded from
+        its superblock's offset pointer, and the rank that finds a sampled
+        row's value is only worked out on a hit.
+        """
+        b, r = divmod(row, 15)  # BLOCK, as a literal
+        classes = self._classes
+        c = classes[b]
+        if not c:
             return None
+        s = b >> 5  # RRRVector.SB_BLOCKS is 32
+        prefix = classes[s << 5 : b]
+        w = self._widths[c]
+        off = 0
+        if w:
+            ptr = self._ptrs[s] + sum(prefix.translate(self._widths))
+            words = self._offsets
+            sh = ptr & 63
+            off = words[ptr >> 6] >> sh
+            if sh + w > 64:
+                off |= words[(ptr >> 6) + 1] << (64 - sh)
+            off &= (1 << w) - 1
+        v = _DEC15[_DEC15_START[c] + off]
+        if not v >> r & 1:
+            return None
+        before = self._ranks[s] + sum(prefix) + (v & ((1 << r) - 1)).bit_count()
         values = self.values
         bit = before * values.width
         sh = bit & 63
@@ -494,11 +525,23 @@ class SaSamples(serialize.Framed):
 
     @classmethod
     def deserialize(cls, f):
+        """Read a samples frame. Everything a walk or `extract` trusts is
+        checked: a rate in [1, n], a mark over the n rows with one sample
+        per rate text positions, and values and ISA rows in range."""
         _, _, kind, n = serialize.read_header(f, serialize.MAGIC_SAMPLES)
         if kind != 0:
             raise serialize.FormatError(f"unknown sampling kind {kind}")
         (rate,) = serialize.read_fields(f, "<Q")
-        marked = SDVector.deserialize(f)
+        if not 1 <= rate <= n:
+            raise serialize.FormatError(f"sample rate {rate} outside [1, {n}]")
+        marked = RRRVector.deserialize(f)
         values = IntVector.deserialize(f)
         isa_rows = IntVector.deserialize(f)
+        m = -(-n // rate)
+        if (marked.t, len(marked)) != (cls.BLOCK, n) or (
+            marked.count_ones(), values.n, isa_rows.n
+        ) != (m, m, m):
+            raise serialize.FormatError("samples do not match n and the rate")
+        if int(values.to_numpy().max()) >= m or int(isa_rows.to_numpy().max()) >= n:
+            raise serialize.FormatError("a sampled value or ISA row out of range")
         return cls(rate, marked, values, isa_rows, n)

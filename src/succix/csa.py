@@ -11,7 +11,11 @@ array access through sampled values, and text extraction:
   text walks backward through LF, one wavelet walk per step.
 
 Suffix array samples are text-order marks (rows whose value is a
-multiple of the rate), so a walk meets a mark within `rate` steps.
+multiple of the rate), so a walk meets a mark within `rate` steps. The
+marks are an RRR vector of 15-bit blocks, and most steps learn from one
+class byte that their row is not sampled. A walk that passes `rate`
+steps without a mark can only come from a corrupt file, and raises
+FormatError.
 """
 
 import struct
@@ -118,16 +122,16 @@ class CsaPsi(_CsaBase):
 
     def sa_access(self, i):
         """SA[i], by walking Psi forward to a sampled row."""
-        j, t = int(i), 0
+        j = int(i)
         if not 0 <= j < self.n:
             raise self._row_error(j)
         lookup, psi = self.samples.lookup, self.psi
-        while True:
+        for t in range(self.samples.rate):
             v = lookup(j)
             if v is not None:
                 return (v - t) % self.n
             j = psi(j)
-            t += 1
+        raise serialize.FormatError("no sampled row within rate Psi steps")
 
     def extract(self, start, length):
         """Text symbols in [start, start+length), walking Psi forward."""
@@ -156,7 +160,7 @@ class CsaPsi(_CsaBase):
         psi = SDVector.deserialize(f)
         if (psi.m, len(psi)) != (n, n):
             raise serialize.FormatError("Psi lists do not cover the text")
-        return cls(psi, SaSamples.deserialize(f), n)
+        return cls(psi, _read_samples(f, n), n)
 
 
 class CsaWt(_CsaBase):
@@ -193,15 +197,16 @@ class CsaWt(_CsaBase):
 
     def sa_access(self, i):
         """SA[i], by walking LF backward to a sampled row."""
-        j, t = int(i), 0
+        j = int(i)
         if not 0 <= j < self.n:
             raise self._row_error(j)
-        while True:
-            v = self.samples.lookup(j)
+        lookup, lf = self.samples.lookup, self.lf
+        for t in range(self.samples.rate):
+            v = lookup(j)
             if v is not None:
                 return (v + t) % self.n
-            j = self.lf(j)
-            t += 1
+            j = lf(j)
+        raise serialize.FormatError("no sampled row within rate LF steps")
 
     def extract(self, start, length):
         """Text symbols in [start, start+length), walking LF backward."""
@@ -241,7 +246,14 @@ class CsaWt(_CsaBase):
             raise serialize.FormatError("BWT wavelet length is not n")
         if wt.sigma != sigma:
             raise serialize.FormatError("BWT symbol counts do not match sigma")
-        return cls(wt, SaSamples.deserialize(f), n)
+        return cls(wt, _read_samples(f, n), n)
+
+
+def _read_samples(f, n):
+    samples = SaSamples.deserialize(f)
+    if samples.n != n:
+        raise serialize.FormatError("SA samples do not cover the text")
+    return samples
 
 
 def read_csa(f):

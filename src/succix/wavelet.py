@@ -281,38 +281,42 @@ class WaveletTree(_WaveletMatrix):
         return total
 
 
-def huffman_lengths(freqs):
-    """Code length per symbol from a {symbol: count} dict.
+def huffman_lengths(counts):
+    """Code length of each symbol from its count; 0 where the count is 0.
 
     The two-queue method over the counts sorted once: leaves wait in one
     queue, merged nodes in another (made in non-decreasing weight), and
     each merge takes the two lightest heads, a leaf first on a tie.
-    Counts are sorted with the smaller symbol first, so the shape is
-    deterministic.
+    Counts are sorted stably, so the smaller symbol comes first on a tie
+    and the shape is deterministic.
     """
-    items = sorted((f, s) for s, f in freqs.items() if f > 0)
-    if len(items) <= 1:
-        return {s: 1 for _, s in items}
-    m = len(items)
-    weight = [f for f, _ in items] + [0] * (m - 1)
+    counts = np.asarray(counts, dtype=np.int64)
+    lengths = np.zeros(len(counts), dtype=np.int64)
+    coded = np.flatnonzero(counts > 0)
+    order = coded[np.argsort(counts[coded], kind="stable")]
+    m = len(order)
+    if m <= 1:
+        lengths[order] = 1
+        return lengths
+    weight = counts[order].tolist() + [0] * (m - 1)
     parent = [0] * (2 * m - 1)
     leaf, merged = 0, m
     for node in range(m, 2 * m - 1):
-        total = 0
-        for _ in range(2):
-            if leaf < m and (merged == node or weight[leaf] <= weight[merged]):
-                parent[leaf] = node
-                total += weight[leaf]
-                leaf += 1
-            else:
-                parent[merged] = node
-                total += weight[merged]
-                merged += 1
-        weight[node] = total
+        if leaf < m and (merged == node or weight[leaf] <= weight[merged]):
+            a, leaf = leaf, leaf + 1
+        else:
+            a, merged = merged, merged + 1
+        if leaf < m and (merged == node or weight[leaf] <= weight[merged]):
+            b, leaf = leaf, leaf + 1
+        else:
+            b, merged = merged, merged + 1
+        parent[a] = parent[b] = node
+        weight[node] = weight[a] + weight[b]
     depth = [0] * (2 * m - 1)
     for node in range(2 * m - 3, -1, -1):
         depth[node] = depth[parent[node]] + 1
-    return {s: depth[k] for k, (_, s) in enumerate(items)}
+    lengths[order] = depth[:m]
+    return lengths
 
 
 def _matrix_codes(lengths):
@@ -364,9 +368,6 @@ class WaveletTreeHuff(_WaveletMatrix):
     def _lengths(counts):
         if not counts.any():
             raise ValueError("cannot build over an empty sequence")
-        by_symbol = huffman_lengths(dict(enumerate(counts.tolist())))
-        return np.array(
-            [by_symbol.get(s, 0) for s in range(len(counts))], dtype=np.int64
-        )
+        return huffman_lengths(counts)
 
     _codes = staticmethod(_matrix_codes)

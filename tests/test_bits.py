@@ -43,19 +43,18 @@ class TestPacking:
 
     @pytest.mark.parametrize("width", range(1, 65))
     def test_to_numpy_matches_getitem(self, width):
-        # a group is lcm(width, 64) bits; the long read covers enough whole
-        # groups for the column path, the shorter ones stay on gather_ints
-        per_group = math.lcm(width, 64) // width
-        long = (bits._COLUMN_GROUPS + 1) * per_group + 1
+        # the counts cover each read path on both sides of its bound: one
+        # byte per bit, gather_ints, and octets with a head and a tail
+        short, octet = bits._BYTE_PER_BIT_READ, bits._OCTET_READ
+        long = 3 * octet + 5
         rng = np.random.default_rng(width)
         vals = rng.integers(
-            0, (1 << width) - 1, size=long + 2 * per_group + 3,
-            endpoint=True, dtype=np.uint64,
+            0, (1 << width) - 1, size=long + 70, endpoint=True, dtype=np.uint64,
         )
         iv = IntVector(vals, width)
         expect = [iv[i] for i in range(len(iv))]
-        counts = {0, 1, per_group - 1, per_group, per_group + 1, long}
-        for start in (0, per_group, 3):
+        counts = {0, 1, 7, 8, 9, short, short + 1, octet - 1, octet, octet + 9, long}
+        for start in (0, 3, 8, 61):
             for count in counts:
                 got = iv.to_numpy(start, start + count)
                 assert got.dtype == np.uint64

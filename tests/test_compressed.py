@@ -6,8 +6,9 @@ import pytest
 
 import oracles
 from succix import serialize
-from succix.bits import BackedBits, BitVector, read_field
+from succix.bits import BackedBits, BitVector, read_field, width_for
 from succix.compressed import (
+    _CLASS_BITS,
     RRRVector,
     SDVector,
     decode_block,
@@ -152,6 +153,35 @@ class TestRRRVector:
             for i in rng.integers(0, 5001, size=60):
                 assert rv2.rank(int(i)) == rv.rank(int(i))
             assert np.array_equal(rv2.to_bool(), bits)
+
+    @pytest.mark.parametrize("t", [15, 31, 63])
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.3, 1.0])
+    def test_class_width_is_that_of_the_largest_class(self, t, density):
+        rng = np.random.default_rng(int(density * 100) + t)
+        rv = RRRVector(rng.random(3000) < density, t)
+        top = max(rv.classes)
+        buf = io.BytesIO()
+        rv.serialize(buf)
+        # the classes frame follows the RRR header; byte 9 is its width
+        width = buf.getvalue()[serialize.HEADER_BYTES + 9]
+        assert width == rv._frame().parts[0][1].width == width_for(top)
+        buf.seek(0)
+        assert np.array_equal(RRRVector.deserialize(buf).to_bool(), rv.to_bool())
+
+    @pytest.mark.parametrize("t", [15, 31, 63])
+    def test_loader_takes_any_class_width_up_to_the_widest(self, t):
+        rv = RRRVector(np.arange(2000) % 9 == 0, t)
+        for width, ok in ((_CLASS_BITS[t], True), (_CLASS_BITS[t] + 1, False)):
+            rv.class_width = width
+            buf = io.BytesIO()
+            rv.serialize(buf)
+            buf.seek(0)
+            if ok:
+                back = RRRVector.deserialize(buf)
+                assert np.array_equal(back.to_bool(), rv.to_bool())
+            else:
+                with pytest.raises(serialize.FormatError, match="class width"):
+                    RRRVector.deserialize(buf)
 
     def test_bad_block_size(self):
         with pytest.raises(ValueError):

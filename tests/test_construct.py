@@ -5,7 +5,7 @@ import pytest
 
 import example_data as ex
 import oracles
-from succix.bits import IntVector, width_for
+from succix.bits import IntVector, SelectSupport, width_for
 from succix.construct import (
     ByteAlphabet,
     Collection,
@@ -22,6 +22,7 @@ from succix.construct import (
     read_byte_docs,
     read_word_docs,
 )
+from succix.csa import CsaPsi
 from succix.serialize import FormatError
 
 
@@ -357,7 +358,7 @@ class TestSaSamples:
     def test_text_order_worked_example(self, coll):
         _, sa_iv = build_suffix_array(coll.text)
         s = SaSamples.build(sa_iv, 2)
-        assert s.marked.to_values().tolist() == [1, 3, 4, 5]
+        assert np.flatnonzero(s.marked.to_bool()).tolist() == [1, 3, 4, 5]
         assert [s.lookup(r) for r in range(8)] == [
             None, 6, None, 2, 4, 0, None, None,
         ]
@@ -380,6 +381,47 @@ class TestSaSamples:
         isa = oracles.inverse_permutation(sa)
         for tpos in range(0, 5000 // got_rate, max(1, 500 // got_rate)):
             assert s.isa_sample(tpos) == isa[tpos * got_rate]
+
+    @pytest.mark.parametrize("rate", [1, 2, 32, 3000, 3005])
+    def test_lookup_every_row(self, rate):
+        """lookup(r) is SA[r] exactly at the rows whose value is a multiple
+        of the rate, which build clamps to [1, n]."""
+        rng = np.random.default_rng(17)
+        t = rng.integers(2, 5, size=3000).astype(np.int64)
+        t[-1] = 0
+        sa, sa_iv = build_suffix_array(t)
+        s = SaSamples.build(sa_iv, rate, chunk=1024)
+        got_rate = min(rate, 3000)
+        assert s.rate == got_rate
+        expect = [int(v) if v % got_rate == 0 else None for v in sa]
+        assert [s.lookup(r) for r in range(3000)] == expect
+        assert s.marked.t == 15
+        assert s.marked.count_ones() == -(-3000 // got_rate)
+
+    def test_sa_access_makes_no_select_for_its_mark_tests(self, monkeypatch):
+        """Every select under CsaPsi.sa_access is a Psi step's select1:
+        the mark is read from its RRR class bytes and blocks."""
+        rng = np.random.default_rng(19)
+        t = rng.integers(2, 6, size=4000).astype(np.int64)
+        t[-1] = 0
+        sa, sa_iv = build_suffix_array(t)
+        csa = CsaPsi.build(IntVector(t, 3), sa_iv, 6, 32)
+        calls = {"select": 0, "psi": 0}
+
+        def counting(cls, name):
+            method = getattr(cls, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return method(*args)
+            monkeypatch.setattr(cls, name, counted)
+
+        counting(SelectSupport, "select")
+        counting(CsaPsi, "psi")
+        for row in rng.integers(0, 4000, size=300).tolist():
+            calls.update(select=0, psi=0)
+            assert csa.sa_access(row) == sa[row]
+            assert calls["select"] == calls["psi"] == -sa[row] % 32
 
     def test_round_trip(self, coll):
         _, sa_iv = build_suffix_array(coll.text)

@@ -1,11 +1,14 @@
 import hashlib
 import io
+import time
 
 import numpy as np
 import pytest
 
 from succix import serialize
-from succix.bits import BackedBits, BitVector, IntVector, RankSupport, SelectSupport
+from succix.bits import (
+    BackedBits, BitVector, IntVector, RankSupport, SelectSupport, width_for,
+)
 from succix.compressed import RRRVector, SDVector
 from succix.construct import (
     ByteAlphabet,
@@ -16,7 +19,7 @@ from succix.construct import (
     build_suffix_array,
     read_alphabet,
 )
-from succix.csa import CsaPsi, CsaWt
+from succix.csa import CsaPsi, CsaWt, read_csa
 from succix.docindex import build_index, read_index
 from succix.rmq import RmaxSct, RmqSct
 from succix.sizereport import measure_serialized
@@ -195,12 +198,12 @@ def test_frame_sizes_agree_and_reload_is_byte_identical(obj, reader):
     assert again.getvalue() == data
 
 
-# Files written by version 4 of this format for the worked example
+# Files written by version 5 of this format for the worked example
 # (default build options); a layout change must bump FORMAT_VERSION.
 EXAMPLE_INDEX_SHA256 = {
-    "sada": "4664592c90ac6b450d3158afad8fc5e0e80a7bfde1bdbcd781c1e5c114eeb13c",
-    "greedy": "a8ba1a7f5f50e62787c805761847b4a8216ed1b68616cb7d1c9af1cb626abd98",
-    "sort": "a7d832aa5e9ee08bd3e14d0300ece07e15cacf9fc1b200d059e1438b1b1282ef",
+    "sada": "d7d6eb3029cc3619d7a55048ce05712f493dbc58f56ee1005ab77cddf8613766",
+    "greedy": "9514c7f0b02741e2ad0335af3d904adbf492a6537bb7b195fd6fc9cb98ab56c4",
+    "sort": "ad9eb612c68e1ef1c865f3453a6e5d9e607a7b1cec058a79fe0ac13dee46b242",
 }
 
 
@@ -241,6 +244,15 @@ def test_format_3_files_raise_format_error(algo):
     load."""
     with pytest.raises(serialize.FormatError, match="version 3"):
         read_index(io.BytesIO(_with_version(algo, 3)))
+
+
+@pytest.mark.parametrize("algo", ["sada", "greedy", "sort"])
+def test_format_4_files_raise_format_error(algo):
+    """Format 4 marked the SA samples in an Elias-Fano vector and stored
+    RRR classes at a fixed width, so a file with its version bytes must
+    not load."""
+    with pytest.raises(serialize.FormatError, match="version 4"):
+        read_index(io.BytesIO(_with_version(algo, 4)))
 
 
 def _small_indexes(rng):
@@ -321,3 +333,88 @@ def test_index_header_counts_must_match_the_parts():
                 bad[at : at + 8] = value.to_bytes(8, "little")
                 with pytest.raises(serialize.FormatError):
                     read_index(io.BytesIO(bytes(bad)))
+
+
+# ------------------------------------------------ hostile SA samples
+
+_N, _RATE = 2000, 8
+
+
+def _hostile_samples():
+    """(name, SaSamples) pairs that break one thing a walk or `extract`
+    trusts, for a text of _N symbols sampled at _RATE."""
+    rng = np.random.default_rng(2027)
+    text = rng.integers(2, 6, _N).astype(np.int64)
+    text[-1] = 0
+    _, sa_iv = build_suffix_array(text)
+    good = SaSamples.build(sa_iv, _RATE)
+    m = -(-_N // _RATE)
+    bits = good.marked.to_bool()
+    values = good.values.to_numpy()
+    isa = good.isa_rows.to_numpy()
+
+    def samples(rate=_RATE, bits=bits, values=values, isa=isa, n=_N):
+        return SaSamples(
+            rate, RRRVector(bits), IntVector(values, width_for(m)),
+            IntVector(isa, width_for(_N)), n,
+        )
+
+    extra = bits.copy()
+    extra[np.flatnonzero(~bits)[0]] = True
+    _, other_sa = build_suffix_array(text[1:])
+    return text, sa_iv, [
+        ("no marks", samples(bits=np.zeros(_N, dtype=bool))),
+        ("rate 0", samples(rate=0)),
+        ("rate above n", samples(rate=_N + 1)),
+        ("short mark", samples(bits=bits[:-1])),
+        ("one mark too many", samples(bits=extra)),
+        ("short values", samples(values=values[:-1])),
+        ("short ISA rows", samples(isa=isa[:-1])),
+        ("value out of range", samples(values=np.where(values == 0, m, values))),
+        ("ISA row out of range", samples(isa=np.where(isa == isa[0], _N, isa))),
+        ("samples of another text", SaSamples.build(other_sa, _RATE)),
+    ]
+
+
+_TEXT, _SA_IV, _HOSTILE = _hostile_samples()
+
+
+def _csa_with_samples(kind, samples):
+    """The bytes of a CSA of `kind` over _TEXT whose samples are replaced."""
+    csa_cls = CsaPsi if kind == "psi" else CsaWt
+    csa = csa_cls.build(IntVector(_TEXT, 3), _SA_IV, 6, _RATE)
+    csa.samples = samples
+    buf = io.BytesIO()
+    csa.serialize(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["psi", "wt"])
+@pytest.mark.parametrize(
+    "samples", [h[1] for h in _HOSTILE], ids=[h[0] for h in _HOSTILE]
+)
+def test_hostile_samples_raise_format_error_at_load(kind, samples):
+    data = _csa_with_samples(kind, samples)
+    t0 = time.perf_counter()
+    with pytest.raises(serialize.FormatError):
+        read_csa(io.BytesIO(data))
+    assert time.perf_counter() - t0 < 5
+
+
+@pytest.mark.parametrize("kind", ["psi", "wt"])
+def test_marks_at_wrong_rows_end_every_walk_within_rate_steps(kind):
+    """A mark with the right count at the wrong rows loads; every walk
+    then returns or raises FormatError, and none runs on."""
+    good = SaSamples.build(_SA_IV, _RATE)
+    bits = np.roll(good.marked.to_bool(), 1)
+    moved = SaSamples(_RATE, RRRVector(bits), good.values, good.isa_rows, _N)
+    csa = read_csa(io.BytesIO(_csa_with_samples(kind, moved)))
+    failed = 0
+    t0 = time.perf_counter()
+    for row in range(_N):
+        try:
+            csa.sa_access(row)
+        except serialize.FormatError:
+            failed += 1
+    assert time.perf_counter() - t0 < 10
+    assert failed > 0
