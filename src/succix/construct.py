@@ -6,9 +6,9 @@ document's symbols (remapped to 2..) followed by a document terminator
 T therefore has length sum(doc lengths) + N + 1 and the terminator makes
 all suffixes distinct.
 
-Construction kernels here are written to keep packed structures (tracked
-by the memory monitor) as the carried state; vectorized numpy scratch
-inside a kernel is transient and intentionally untracked.
+Construction kernels here hand packed structures (tracked by the memory
+monitor) from one to the next; vectorized numpy scratch inside a kernel
+is transient and intentionally untracked.
 """
 
 import itertools
@@ -205,27 +205,73 @@ class Collection:
         return IntVector(self.text, width_for(self.sigma_total - 1))
 
 
+def _sort_groups(key, key_bits):
+    """Sorts an int64 key array of values in [0, 2**key_bits), which it
+    consumes. Returns the order that sorts it and m + 1 flags: flag j is
+    set where sorted key j starts a run of equal keys, and flag m is set.
+
+    Where a key and a position fit in 63 bits together, (key << b) |
+    position is sorted in place with np.sort, several times faster than
+    argsort; otherwise argsort. Equal keys may come out in any order.
+    """
+    m = len(key)
+    b = width_for(max(m - 1, 1))
+    if key_bits + b > 63:
+        order = np.argsort(key)
+        key = key[order]
+    else:
+        key <<= b
+        key |= np.arange(m, dtype=np.int32)
+        key.sort()
+        order = key & ((1 << b) - 1)
+        key >>= b
+    starts = np.empty(m + 1, dtype=bool)
+    starts[0] = starts[m] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:m])
+    return order, starts
+
+
+def _regroup(starts, slots, members, rank):
+    """Splits the groups that fill `slots`, now holding `members` in
+    sorted order, at the `_sort_groups` flags: every member's rank becomes
+    the slot where its new group starts. Returns the slots of the groups
+    still tied."""
+    m = len(slots)
+    head = np.where(starts[:m], slots, 0)
+    np.maximum.accumulate(head, out=head)
+    rank[members] = head
+    return slots[~(starts[:m] & starts[1:])]
+
+
 def build_suffix_array(T):
-    """Suffix array by prefix doubling from a packed first key, with
-    packed inter-round state.
+    """Suffix array by prefix doubling over the groups still tied
+    (Larsson & Sadakane, "Faster suffix sorting", TCS 2007).
 
-    Returns (sa ndarray, sa_packed IntVector). The rank state is carried
-    bit-packed between rounds and the result is also returned packed, so a
-    recording monitor sees the real working set.
+    Returns (sa int64 ndarray, sa_packed IntVector of width
+    width_for(n - 1)).
 
-    The first round keys suffix i by its first h = max(1, 62 // bits)
-    symbols packed into one int64, bits = width_for(max(T) + 1). Each
-    symbol is packed as T + 1 so that a position past the end reads 0 and
-    sorts below every symbol: a suffix then sorts before every longer
-    suffix it is a prefix of. Each later round doubles the prefix length
-    k with the key (rank[i] + 1, rank[i + k] + 1), past the end again 0.
+    The first round keys suffix i by its first h symbols packed into one
+    int64, bits = width_for(max(T) + 1) each, and sorts all n keys. h is
+    max(1, (63 - width_for(n - 1)) // bits), which leaves room for a
+    position beside the key, so that the sort can take `_sort_groups`'
+    np.sort path. Each symbol is packed as T + 1 so that a position past
+    the end reads 0 and sorts below every symbol: a suffix then sorts
+    before every longer suffix it is a prefix of.
+
+    A group is a run of SA slots whose suffixes share their first k
+    symbols, and every suffix's rank is the slot where its group starts.
+    Each later round gathers only the slots of groups larger than one,
+    sorts them by (rank[i], rank[i + k] + 1), past the end 0, writes them
+    back into the same slots and gives every new group its head; k
+    doubles. A group of one is final. Every suffix has its own length, and
+    so its own padding, once k reaches n, so the rounds end.
 
     No sort needs to be stable: tied keys get equal ranks whatever their
-    order, and the round that stops has n distinct keys, whose order is
-    unique. Every suffix has its own length, and so its own padding, once
-    k reaches n, so the rounds end.
+    order, and a group stays tied until its keys tell it apart.
     """
     T = np.asarray(T)
+    if T.ndim != 1:
+        raise ValueError("text must be a 1-d sequence of symbols")
     n = len(T)
     if n == 0:
         return np.empty(0, dtype=np.int64), None
@@ -235,39 +281,49 @@ def build_suffix_array(T):
     if T.dtype.kind not in "iu" or T.min() < 0 or T.max() >= (1 << 63) - 1:
         raise ValueError("symbols must be integers in [0, 2**63 - 1)")
     T = T.astype(np.int64, copy=False)
-    hi = int(T.max())
-    bits = width_for(hi + 1)
-    rank_width = width_for(max(n - 1, 1))
-    state_iv = IntVector(T, width_for(max(hi, 1)))
+    bits = width_for(int(T.max()) + 1)
     sym = T + 1
     key = sym.copy()
+    rank_width = width_for(max(n - 1, 1))
     # past n every key would only be shifted, which keeps their order
-    k = min(max(1, 62 // bits), n)
+    k = min(max(1, (63 - rank_width) // bits), n)
     for j in range(1, k):
         key <<= bits
         key[: n - j] |= sym[j:]
     del sym
-    while True:
-        sa = np.argsort(key)
-        sorted_key = key[sa]
+    order, starts = _sort_groups(key, k * bits)
+    del key
+    # positions and ranks are below n < 2**31
+    sa = order.astype(np.int32)
+    del order
+    # rank[n] is the position past the end, which reads 0 as rank + 1
+    rank = np.empty(n + 1, dtype=np.int32)
+    rank[n] = -1
+    tied = _regroup(starts, np.arange(n, dtype=np.int32), sa, rank)
+    del starts
+    next_width = width_for(n)
+    while len(tied):
+        # a suffix shorter than k is alone in its group, so i + k <= n
+        idx = sa[tied]
+        key = rank[idx].astype(np.int64)
+        key <<= next_width
+        key |= rank[idx + k] + 1
+        order, starts = _sort_groups(key, rank_width + next_width)
         del key
-        marks = np.empty(n, dtype=np.int64)
-        marks[0] = 0
-        marks[1:] = sorted_key[1:] != sorted_key[:-1]
-        del sorted_key
-        np.cumsum(marks, out=marks)
-        distinct = int(marks[-1]) == n - 1
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[sa] = marks
-        del marks
-        state_iv = IntVector(new_rank, rank_width)
-        if distinct:
-            break
-        state = state_iv.to_numpy().astype(np.int64)
-        key = (state + 1) << 32
-        key[: n - k] |= state[k:] + 1
+        members = idx[order]
+        del idx, order
+        sa[tied] = members
+        tied = _regroup(starts, tied, members, rank)
+        del members, starts
         k <<= 1
-    return sa, IntVector(sa, rank_width)
+    # rank is now the inverse suffix array. It is packed only to be held
+    # while the SA is packed: a recording monitor then sees the two
+    # n-value vectors a doubling round carries.
+    isa_iv = IntVector(rank[:n], rank_width)
+    del rank
+    sa_iv = IntVector(sa, rank_width)
+    del isa_iv
+    return sa.astype(np.int64), sa_iv
 
 
 def _map_sa(sa_iv, width, fn, chunk):

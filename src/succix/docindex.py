@@ -367,10 +367,10 @@ def build_sada(collection, sample_rate=32, temp_dir=None):
             select1=True,
         )
         del sa_iv
-    d_arr = d_iv.to_numpy().astype(np.int64)
-    del d_iv
-    prev_occ, next_occ = prev_next_occurrence(d_arr)
-    del d_arr
+        d_arr = d_iv.to_numpy().astype(np.int64)
+        del d_iv
+        prev_occ, next_occ = prev_next_occurrence(d_arr)
+        del d_arr
     with mm.phase("rminq_c"):
         rminq = RmqSct(prev_occ)
         del prev_occ

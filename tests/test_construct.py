@@ -5,6 +5,7 @@ import pytest
 
 import example_data as ex
 import oracles
+from succix import construct
 from succix.bits import IntVector, SelectSupport, width_for
 from succix.construct import (
     ByteAlphabet,
@@ -22,7 +23,9 @@ from succix.construct import (
     read_byte_docs,
     read_word_docs,
 )
+from succix.corpus import make_docs
 from succix.csa import CsaPsi
+from succix.monitor import memory_monitor
 from succix.serialize import FormatError
 
 
@@ -221,6 +224,93 @@ class TestSuffixArray:
         t = np.broadcast_to(np.int64(2), 1 << 31)
         with pytest.raises(ValueError, match="too long"):
             build_suffix_array(t)
+
+    @pytest.mark.parametrize(
+        "t", [[[2], [3], [0]], 5, np.zeros((2, 2), dtype=np.int64)]
+    )
+    def test_not_1d_rejected(self, t):
+        with pytest.raises(ValueError, match="1-d"):
+            build_suffix_array(t)
+
+
+def _fibonacci_word(n):
+    a, b = [2], [2, 3]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def _mutated_repeats(seed):
+    rng = np.random.default_rng(seed)
+    t = np.tile(rng.integers(2, 5, size=37), 20)
+    t[rng.choice(len(t), size=4, replace=False)] = 5
+    return t.tolist()
+
+
+# ties that outlast several doubling rounds
+TIED_TEXTS = {
+    "fibonacci": _fibonacci_word(610),
+    "mutated-repeats": _mutated_repeats(11),
+    **{f"run-{n}": [2] * n for k in (3, 6, 9) for n in (2**k - 1, 2**k + 1)},
+}
+
+
+def _widened(t, h):
+    """t with its largest symbol raised so that the first key packs
+    max(1, (63 - width_for(n - 1)) // bits) = h symbols, or h + 1 where no
+    width gives h; h = 0 takes the largest symbol allowed, whose key and
+    position do not fit in 63 bits, so the first sort is an argsort."""
+    room = 63 - width_for(max(len(t) - 1, 1))
+    bits = 63 if h == 0 else room // h
+    assert max(h, 1) <= max(1, room // bits) <= h + 1
+    top = max(t)
+    return [(1 << bits) - 2 if c == top else c for c in t]
+
+
+class TestTiedRounds:
+    @pytest.mark.parametrize("h", [8, 3, 2, 1, 0])
+    @pytest.mark.parametrize("name", sorted(TIED_TEXTS))
+    @pytest.mark.parametrize("terminated", [False, True])
+    def test_matches_oracle(self, name, h, terminated):
+        t = TIED_TEXTS[name] + ([0] if terminated else [])
+        TestSuffixArray._check(_widened(t, h))
+
+    @pytest.mark.parametrize("name", sorted(TIED_TEXTS))
+    def test_argsort_path_matches(self, name, monkeypatch):
+        calls = []
+
+        def argsort_only(key, key_bits):
+            calls.append(key_bits)
+            return sort_groups(key, 63)
+
+        sort_groups = construct._sort_groups
+        monkeypatch.setattr(construct, "_sort_groups", argsort_only)
+        TestSuffixArray._check(TIED_TEXTS[name] + [0])
+        assert calls
+
+    @pytest.mark.parametrize("key_bits", [1, 20, 40, 63])
+    def test_sort_groups(self, key_bits):
+        rng = np.random.default_rng(key_bits)
+        for m in (1, 2, 1000):
+            key = rng.integers(0, 1 << key_bits, size=m)
+            key[rng.integers(0, m, size=m // 2)] = key[0]
+            order, starts = construct._sort_groups(key.copy(), key_bits)
+            s = key[order]
+            assert np.all(s[1:] >= s[:-1])
+            assert sorted(order.tolist()) == list(range(m))
+            expect = [True] + (s[1:] != s[:-1]).tolist() + [True]
+            assert starts.tolist() == expect
+
+    def test_tracked_peak_is_two_packed_vectors(self):
+        docs = make_docs(300, 40, seed=18, mean_len=50)
+        coll = Collection(docs, ByteAlphabet.from_docs(docs))
+        memory_monitor.start()
+        try:
+            _, sa_iv = build_suffix_array(coll.text)
+            peak = memory_monitor.peak_bytes
+        finally:
+            memory_monitor.stop()
+        assert peak == 2 * sa_iv.words.nbytes
 
 
 class TestBwtPsiD:
