@@ -415,32 +415,6 @@ class RankSupport(serialize.Framed):
         i = max(0, min(int(i), self.bv.n))
         return i - self.rank(i)
 
-    def rank_many(self, positions):
-        """Vectorized rank over an int array of positions in [0, n]."""
-        i = np.clip(np.asarray(positions, dtype=np.int64), 0, self.bv.n)
-        s = i >> 11
-        r = i & 2047
-        j = r // 384
-        base = self.abs_counts[s].astype(np.int64)
-        relshift = (12 * np.maximum(j - 1, 0)).astype(np.uint64)
-        rel = (self.rel_counts[s] >> relshift) & np.uint64(0xFFF)
-        base += np.where(j > 0, rel.astype(np.int64), 0)
-        words = self.bv.words
-        if len(words) == 0:
-            return base
-        last = len(words) - 1
-        w0 = (s << 5) + 6 * j
-        wlast = i >> 6
-        idx = w0[:, None] + np.arange(6)
-        valid = idx < wlast[:, None]
-        gathered = words[np.minimum(idx, last)]
-        base += popcount_words(np.where(valid, gathered, 0)).sum(axis=1).astype(np.int64)
-        tail = (i & 63).astype(np.uint64)
-        tw = words[np.minimum(wlast, last)]
-        tmask = (np.uint64(1) << tail) - np.uint64(1)
-        base += popcount_words(np.where(tail > 0, tw & tmask, 0)).astype(np.int64)
-        return base
-
     def _frame(self):
         dir_words = np.empty(2 * len(self.abs_counts), dtype="<u8")
         dir_words[0::2] = self.abs_counts

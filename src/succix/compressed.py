@@ -1,9 +1,12 @@
 """Compressed bitvector representations.
 
-RRRVector stores fixed-size blocks as (popcount class, in-class offset)
-pairs; offsets use the colexicographic combinatorial numbering, so a block
-with one-bits at ascending positions p_1 < ... < p_c gets offset
-sum(C(p_i, i)). Block size t is 15, 31 or 63 so offsets fit a word.
+RRRVector stores 15-bit blocks as (popcount class, in-class offset)
+pairs (Raman, Raman & Rao, SODA 2002), and encodes and decodes them by
+lookup in tables over all 2^15 block values. Offsets use the
+colexicographic combinatorial numbering, so a block with one-bits at
+ascending positions p_1 < ... < p_c gets offset sum(C(p_i, i)). A
+vector is stored as its class bytes and its offset stream; the rank and
+offset pointer before each superblock are worked out from the classes.
 
 SDVector is an Elias-Fano encoding of a sorted integer multiset: each
 value splits into a low part of fixed width and a high part stored in
@@ -19,160 +22,104 @@ import numpy as np
 
 from . import serialize
 from .bits import (
-    BackedBits, BitVector, IntVector, gather_fields, pack_fields, read_field,
-    width_for,
+    BackedBits, BitVector, IntVector, gather_fields, pack_fields, width_for,
 )
 from .monitor import register_allocation
 
-BLOCK_SIZES = (15, 31, 63)
+BLOCK = 15
 
-_BINOM = [[math.comb(p, i) for i in range(64)] for p in range(64)]
-
-
-def _offset_widths(t):
-    return np.array(
-        [max(0, (math.comb(t, c) - 1).bit_length()) for c in range(t + 1)],
-        dtype=np.int64,
-    )
-
-
-_OFF_WIDTH = {t: _offset_widths(t) for t in BLOCK_SIZES}
-# offset width by class as a bytes.translate table, so that a run of class
-# bytes sums to its offset bits without numpy
-_WIDTH_TABLE = {
-    t: bytes(w.tolist()) + bytes(255 - t) for t, w in _OFF_WIDTH.items()
-}
+# offset width by class, also as a bytes.translate table, so that a run of
+# class bytes sums to its offset bits without numpy
+_OFF_WIDTH = np.array(
+    [(math.comb(BLOCK, c) - 1).bit_length() for c in range(BLOCK + 1)],
+    dtype=np.int64,
+)
+_WIDTHS = bytes(_OFF_WIDTH.tolist()) + bytes(255 - BLOCK)
 # zero bits of a block by class, as a bytes.translate table
-_ZERO_TABLE = {t: bytes(range(t, -1, -1)) + bytes(255 - t) for t in BLOCK_SIZES}
-# the widest class field of each block size; a vector stores its classes
-# at the width of its largest class
-_CLASS_BITS = {15: 4, 31: 5, 63: 6}
-
-# per-class binomial columns for arithmetic decode: _COLS[t][i][p] = C(p, i)
-_COLS = {
-    t: [[_BINOM[p][i] for p in range(t + 1)] for i in range(t + 1)]
-    for t in BLOCK_SIZES
-}
+_ZEROS = bytes(range(BLOCK, -1, -1)) + bytes(255 - BLOCK)
 
 
-def _build_tables15():
-    vals = np.arange(1 << 15, dtype=np.uint32)
+def _build_tables():
+    """Class and offset of every block value, and the block values in
+    (class, offset) order with the start of each class in that order."""
+    vals = np.arange(1 << BLOCK, dtype=np.uint32)
     cls = np.bitwise_count(vals).astype(np.uint8)
-    off = np.zeros(1 << 15, dtype=np.uint32)
-    cnt = np.zeros(1 << 15, dtype=np.intp)
-    for p in range(15):
+    off = np.zeros(1 << BLOCK, dtype=np.uint32)
+    cnt = np.zeros(1 << BLOCK, dtype=np.intp)
+    for p in range(BLOCK):
         bit = (vals >> np.uint32(p)) & 1
-        col = np.array([_BINOM[p][i] for i in range(17)], dtype=np.uint32)
+        col = np.array([math.comb(p, i) for i in range(BLOCK + 2)], dtype=np.uint32)
         off += np.where(bit == 1, col[cnt + 1], 0)
         cnt += bit
     order = np.lexsort((off, cls))
     dec = vals[order].astype(np.uint16)
-    starts = np.zeros(17, dtype=np.int64)
-    starts[1:] = np.cumsum(np.bincount(cls, minlength=16))
-    # decode_block reads the block table item by item
+    starts = np.zeros(BLOCK + 2, dtype=np.int64)
+    starts[1:] = np.cumsum(np.bincount(cls, minlength=BLOCK + 1))
+    # the scalar decodes read the block table item by item
     return cls, off, memoryview(dec), starts.tolist()
 
 
-_CLS15, _OFF15, _DEC15, _DEC15_START = _build_tables15()
+_CLS15, _OFF15, _DEC15, _DEC15_START = _build_tables()
 
 
-def encode_block(value, t):
-    """(class, offset) of a t-bit block given as an int."""
-    c = value.bit_count()
-    off = 0
-    i = 0
-    v = value
-    while v:
-        p = (v & -v).bit_length() - 1
-        i += 1
-        off += _BINOM[p][i]
-        v &= v - 1
-    return c, off
-
-
-def decode_block(c, off, t):
-    """Inverse of encode_block."""
-    if t == 15:
-        return _DEC15[_DEC15_START[c] + off]
-    v = 0
-    for i in range(c, 0, -1):
-        p = bisect.bisect_right(_COLS[t][i], off) - 1
-        v |= 1 << p
-        off -= _BINOM[p][i]
-    return v
+def _superblock_sums(data, nsb):
+    """0, then the running total of `data`'s bytes (each at most 15) at
+    the end of each of nsb superblocks of RRRVector.SB_BLOCKS bytes."""
+    words = np.zeros((nsb, 4), dtype=np.uint64)
+    words.reshape(-1).view(np.uint8)[: len(data)] = np.frombuffer(data, np.uint8)
+    # two words added bytewise hold byte sums of at most 30, and the top
+    # byte of a product by 0x0101...01 is the sum of its word's 8 bytes
+    ones, top = np.uint64(0x0101010101010101), np.uint64(56)
+    sums = ((words[:, 0] + words[:, 1]) * ones >> top) + (
+        (words[:, 2] + words[:, 3]) * ones >> top
+    )
+    out = np.zeros(nsb + 1, dtype=np.uint64)
+    np.cumsum(sums, out=out[1:])
+    return out
 
 
 class RRRVector(serialize.Framed):
     """H0-compressed bitvector with rank and select.
 
-    Blocks of `block_size` bits become class/offset pairs; superblocks of
-    32 blocks store an absolute rank and a bit pointer into the offset
-    stream, so queries scan at most 31 class entries.
+    Blocks of 15 bits become class/offset pairs. Each superblock of 32
+    blocks has an absolute rank and a bit pointer into the offset stream,
+    both summed from the classes, so queries scan at most 31 class bytes.
     """
 
     SB_BLOCKS = 32
     _tag = "rrr"
 
-    def __init__(self, bits, block_size=15):
-        if block_size not in BLOCK_SIZES:
-            raise ValueError(f"block_size must be one of {BLOCK_SIZES}")
+    def __init__(self, bits):
         if isinstance(bits, BitVector):
             bits = bits.to_bool()
         bits = np.asarray(bits)
         if bits.dtype != np.bool_:
             bits = bits.astype(bool)
-        self.t = block_size
         self.n = len(bits)
-        self._encode(bits)
-        self._finish()
-
-    def _encode(self, bits):
-        t = self.t
-        nblocks = -(-self.n // t)
-        padded = np.zeros(nblocks * t, dtype=bool)
+        self.nblocks = -(-self.n // BLOCK)
+        padded = np.zeros(self.nblocks * BLOCK, dtype=bool)
         padded[: self.n] = bits
-        blocks2d = padded.reshape(nblocks, t)
-        if t == 15:
-            powers = (np.uint32(1) << np.arange(15, dtype=np.uint32))
-            vals = blocks2d.astype(np.uint32) @ powers
-            classes = _CLS15[vals]
-            offs = _OFF15[vals].astype(np.uint64)
-        else:
-            classes = np.zeros(nblocks, dtype=np.uint8)
-            offs = np.zeros(nblocks, dtype=np.uint64)
-            for b in range(nblocks):
-                word = 0
-                for j in np.flatnonzero(blocks2d[b]):
-                    word |= 1 << int(j)
-                c, o = encode_block(word, t)
-                classes[b] = c
-                offs[b] = o
-        self.nblocks = nblocks
+        powers = np.uint32(1) << np.arange(BLOCK, dtype=np.uint32)
+        vals = padded.reshape(-1, BLOCK).astype(np.uint32) @ powers
+        classes = _CLS15[vals]
         self.classes = classes.tobytes()
         self.class_width = width_for(int(classes.max(initial=0)))
-        widths = _OFF_WIDTH[t][classes]
-        starts = np.zeros(nblocks + 1, dtype=np.int64)
-        np.cumsum(widths, out=starts[1:])
-        self.offsets = pack_fields(offs, widths)
-        nsb = -(-nblocks // self.SB_BLOCKS)
-        cum_rank = np.zeros(nblocks + 1, dtype=np.int64)
-        np.cumsum(classes, out=cum_rank[1:])
-        sb_idx = np.minimum(
-            np.arange(nsb + 1, dtype=np.int64) * self.SB_BLOCKS, nblocks
-        )
-        self.sb_ranks = cum_rank[sb_idx]
-        self.sb_ptrs = starts[sb_idx]
-        self.total_ones = int(cum_rank[-1])
+        self.offsets = pack_fields(_OFF15[vals], _OFF_WIDTH[classes])
+        self._finish()
 
     def _finish(self):
+        nsb = -(-self.nblocks // self.SB_BLOCKS)
+        ranks = _superblock_sums(self.classes, nsb)
+        ptrs = _superblock_sums(self.classes.translate(_WIDTHS), nsb)
+        self.total_ones = int(ranks[-1])
         # superblock entries as uint32 where they fit, half of int64
         self.sb_ranks, self.sb_ptrs = (
-            a.astype(np.uint32 if int(a.max(initial=0)) >> 32 == 0 else np.int64)
-            for a in (self.sb_ranks, self.sb_ptrs)
+            a.astype(np.uint32 if int(a[-1]) >> 32 == 0 else np.int64)
+            for a in (ranks, ptrs)
         )
         nbytes = len(self.classes) + self.sb_ranks.nbytes + self.sb_ptrs.nbytes
         register_allocation(self, nbytes, "rrr_vector")
-        sb_bits = np.arange(len(self.sb_ranks)) * (self.SB_BLOCKS * self.t)
+        sb_bits = np.arange(nsb + 1) * (self.SB_BLOCKS * BLOCK)
         # memoryviews hand out single items as Python ints, several times
         # cheaper than numpy scalars, and bisect reads them directly
         self._ranks = memoryview(self.sb_ranks)
@@ -180,8 +127,6 @@ class RRRVector(serialize.Framed):
         self._zeros = memoryview(np.minimum(sb_bits, self.n) - self.sb_ranks)
         self._ptrs = memoryview(self.sb_ptrs)
         self._words = self.offsets._words
-        self._widths = _WIDTH_TABLE[self.t]
-        self._zero_counts = _ZERO_TABLE[self.t]
 
     def __len__(self):
         return self.n
@@ -190,20 +135,28 @@ class RRRVector(serialize.Framed):
         return self.total_ones
 
     def _block_value(self, b):
-        """Decode block b from its superblock pointer."""
-        first = b - b % self.SB_BLOCKS
-        cls = self.classes
-        widths = self._widths
-        ptr = self._ptrs[b // self.SB_BLOCKS] + sum(cls[first:b].translate(widths))
-        c = cls[b]
-        off = read_field(self._words, ptr, widths[c])
-        return decode_block(c, off, self.t)
+        """Decode block b, reading its offset field from its superblock's
+        pointer on (b >> 5 is b's superblock, SB_BLOCKS being 32)."""
+        classes = self.classes
+        c = classes[b]
+        w = _WIDTHS[c]
+        off = 0
+        if w:
+            s = b >> 5
+            ptr = self._ptrs[s] + sum(classes[s << 5 : b].translate(_WIDTHS))
+            words = self._words
+            sh = ptr & 63
+            off = words[ptr >> 6] >> sh
+            if sh + w > 64:
+                off |= words[(ptr >> 6) + 1] << (64 - sh)
+            off &= (1 << w) - 1
+        return _DEC15[_DEC15_START[c] + off]
 
     def access(self, i):
         i = int(i)
         if not 0 <= i < self.n:
             raise IndexError("bit index out of range")
-        b, r = divmod(i, self.t)
+        b, r = divmod(i, BLOCK)
         return (self._block_value(b) >> r) & 1
 
     def __getitem__(self, i):
@@ -216,12 +169,11 @@ class RRRVector(serialize.Framed):
             return 0
         if i >= self.n:
             return self.total_ones
-        b, r = divmod(i, self.t)
-        first = b - b % self.SB_BLOCKS
-        total = self._ranks[b // self.SB_BLOCKS] + sum(self.classes[first:b])
+        b, r = divmod(i, BLOCK)
+        s = b >> 5
+        total = self._ranks[s] + sum(self.classes[s << 5 : b])
         if r:
-            v = self._block_value(b)
-            total += (v & ((1 << r) - 1)).bit_count()
+            total += (self._block_value(b) & ((1 << r) - 1)).bit_count()
         return total
 
     def rank0(self, i):
@@ -238,22 +190,21 @@ class RRRVector(serialize.Framed):
         b = s * self.SB_BLOCKS
         row = self.classes[b:b + self.SB_BLOCKS]
         if not value:
-            # t - c zeros per block; the padding of the last block counts
+            # 15 - c zeros per block; the padding of the last block counts
             # too, but the target lies before it
-            row = row.translate(self._zero_counts)
+            row = row.translate(_ZEROS)
         # block b + k holds the target: ends[k] < j <= ends[k + 1]
         ends = list(itertools.accumulate(row, initial=marks[s]))
         k = bisect.bisect_left(ends, j) - 1
         b += k
         v = self._block_value(b)
-        t = self.t
         if not value:
-            v = ~v & ((1 << t) - 1)
+            v = ~v & ((1 << BLOCK) - 1)
         remaining = j - ends[k]
         while remaining > 1:
             v &= v - 1
             remaining -= 1
-        return b * t + (v & -v).bit_length() - 1
+        return b * BLOCK + (v & -v).bit_length() - 1
 
     def select(self, j):
         """Position of the j-th (1-based) one-bit."""
@@ -263,53 +214,45 @@ class RRRVector(serialize.Framed):
         return self._select_generic(j, 0)
 
     def to_bool(self):
-        out = np.zeros(self.n, dtype=bool)
-        for b in range(self.nblocks):
-            v = self._block_value(b)
-            hi = min(self.t, self.n - b * self.t)
-            for r in range(hi):
-                out[b * self.t + r] = (v >> r) & 1
-        return out
+        values = np.array(
+            [self._block_value(b) for b in range(self.nblocks)], dtype=np.uint16
+        )
+        bits = (values[:, None] >> np.arange(BLOCK, dtype=np.uint16)) & 1
+        return bits.ravel()[: self.n].astype(bool)
 
     def _frame(self):
-        return serialize.Frame(serialize.MAGIC_RRR, self.t, self.n, b"", [
+        return serialize.Frame(serialize.MAGIC_RRR, BLOCK, self.n, b"", [
             ("classes", IntVector(
                 np.frombuffer(self.classes, dtype=np.uint8), self.class_width
             )),
             ("offsets", self.offsets),
-            ("pointers", IntVector(
-                self.sb_ptrs, width_for(max(self.offsets.n, 1))
-            )),
-            ("ranks", IntVector(
-                self.sb_ranks, width_for(max(self.total_ones, 1))
-            )),
         ])
 
     @classmethod
     def deserialize(cls, f):
+        """Read an RRR frame: 15-bit blocks, classes of at most 4 bits, an
+        offset stream as long as the classes' offset widths sum to, and no
+        one-bit in the last block past n."""
         _, _, t, n = serialize.read_header(f, serialize.MAGIC_RRR)
-        if t not in BLOCK_SIZES:
-            raise serialize.FormatError(f"bad block size {t}")
+        if t != BLOCK:
+            raise serialize.FormatError(f"RRR block size {t}, not {BLOCK}")
         rv = cls.__new__(cls)
-        rv.t = t
         rv.n = n
-        rv.nblocks = -(-n // t)
+        rv.nblocks = -(-n // BLOCK)
         cls_iv = IntVector.deserialize(f)
-        off_iv = IntVector.deserialize(f)
-        ptr_iv = IntVector.deserialize(f)
-        rnk_iv = IntVector.deserialize(f)
-        nsb = -(-rv.nblocks // cls.SB_BLOCKS)
-        if (cls_iv.n, ptr_iv.n, rnk_iv.n) != (rv.nblocks, nsb + 1, nsb + 1):
-            raise serialize.FormatError("RRR vectors do not match n and t")
-        if cls_iv.width > _CLASS_BITS[t]:
-            raise serialize.FormatError(f"RRR class width {cls_iv.width} over t")
+        rv.offsets = IntVector.deserialize(f)
+        if cls_iv.n != rv.nblocks:
+            raise serialize.FormatError("RRR classes do not match n")
+        if cls_iv.width > width_for(BLOCK):
+            raise serialize.FormatError(f"RRR class width {cls_iv.width} over 4")
         rv.class_width = cls_iv.width
         rv.classes = cls_iv.to_numpy().astype(np.uint8).tobytes()
-        rv.offsets = off_iv
-        rv.sb_ptrs = ptr_iv.to_numpy()
-        rv.sb_ranks = rnk_iv.to_numpy()
-        rv.total_ones = int(rv.sb_ranks[-1]) if len(rv.sb_ranks) else 0
         rv._finish()
+        if (rv.offsets.width, rv.offsets.n) != (1, int(rv.sb_ptrs[-1])):
+            raise serialize.FormatError("RRR offset stream does not match the classes")
+        last = rv.nblocks - 1
+        if n and rv._block_value(last) >> (n - last * BLOCK):
+            raise serialize.FormatError("RRR block padding holds a one-bit")
         return rv
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import serialize
 from .bits import IntVector, gather_ints, pack_fields, pack_ints, read_field, width_for
-from .compressed import _DEC15, _DEC15_START, RRRVector, SDVector
+from .compressed import _DEC15, _DEC15_START, _WIDTHS, RRRVector, SDVector
 
 GLOBAL_TERMINATOR = 0
 DOC_TERMINATOR = 1
@@ -326,11 +326,13 @@ def build_suffix_array(T):
     return sa.astype(np.int64), sa_iv
 
 
-def _map_sa(sa_iv, width, fn, chunk):
-    """Packed vector of fn(SA[i]) at the given width, computed chunk by
-    chunk so that only one chunk of the packed SA is unpacked at a time."""
+def _map_sa(sa_iv, width, fn):
+    """Packed vector of fn(SA[i]) at the given width, computed _CHUNK
+    rows at a time so that only one chunk of the packed SA is unpacked at
+    a time."""
     n = sa_iv.n
     out_words = np.zeros(serialize.payload_words(n, width), dtype=np.uint64)
+    chunk = _CHUNK
     assert chunk % 64 == 0
     for start in range(0, n, chunk):
         sa_chunk = sa_iv.to_numpy(start, min(start + chunk, n)).astype(np.int64)
@@ -340,12 +342,10 @@ def _map_sa(sa_iv, width, fn, chunk):
     return IntVector.from_words(out_words, n, width)
 
 
-def bwt_from_sa(text_iv, sa_iv, chunk=_CHUNK):
+def bwt_from_sa(text_iv, sa_iv):
     """Packed BWT streamed from the packed SA."""
     w, n = text_iv.width, sa_iv.n
-    return _map_sa(
-        sa_iv, w, lambda sa: gather_ints(text_iv.words, w, (sa - 1) % n), chunk
-    )
+    return _map_sa(sa_iv, w, lambda sa: gather_ints(text_iv.words, w, (sa - 1) % n))
 
 
 def psi_from_bwt(bwt_iv, sigma_total):
@@ -377,10 +377,10 @@ def doc_of_positions(sharp_positions, n):
     )
 
 
-def d_from_sa(sa_iv, sharp_positions, n_docs, chunk=_CHUNK):
+def d_from_sa(sa_iv, sharp_positions, n_docs):
     """Packed document array: D[i] = document containing position SA[i]."""
     doc_of = doc_of_positions(sharp_positions, sa_iv.n)
-    return _map_sa(sa_iv, width_for(max(n_docs, 1)), doc_of.__getitem__, chunk)
+    return _map_sa(sa_iv, width_for(max(n_docs, 1)), doc_of.__getitem__)
 
 
 def prev_next_occurrence(d):
@@ -486,7 +486,6 @@ class SaSamples(serialize.Framed):
     """
 
     _tag = "sa_samples"
-    BLOCK = 15
 
     def __init__(self, rate, marked, values, isa_rows, n):
         self.rate = rate
@@ -496,14 +495,15 @@ class SaSamples(serialize.Framed):
         self.n = n
         # lookup reads the mark's fields without calling into it
         self._classes = marked.classes
-        self._widths = marked._widths
+        self._widths = _WIDTHS
         self._ptrs = marked._ptrs
         self._ranks = marked._ranks
         self._offsets = marked._words
 
     @classmethod
-    def build(cls, sa_iv, rate, chunk=_CHUNK):
+    def build(cls, sa_iv, rate):
         n = sa_iv.n
+        chunk = _CHUNK
         rate = max(1, min(int(rate), n))
         n_text = (n + rate - 1) // rate
         isa_rows = np.zeros(n_text, dtype=np.int64)
@@ -518,7 +518,7 @@ class SaSamples(serialize.Framed):
             t = sa_chunk[hit] // rate
             isa_rows[t] = start + np.flatnonzero(hit)
             val_chunks.append(t)
-        marked = RRRVector(marks, cls.BLOCK)
+        marked = RRRVector(marks)
         del marks
         values = IntVector(
             np.concatenate(val_chunks), width_for(max((n - 1) // rate, 1))
@@ -536,7 +536,7 @@ class SaSamples(serialize.Framed):
         its superblock's offset pointer, and the rank that finds a sampled
         row's value is only worked out on a hit.
         """
-        b, r = divmod(row, 15)  # BLOCK, as a literal
+        b, r = divmod(row, 15)  # compressed.BLOCK, as a literal
         classes = self._classes
         c = classes[b]
         if not c:
@@ -583,7 +583,8 @@ class SaSamples(serialize.Framed):
     def deserialize(cls, f):
         """Read a samples frame. Everything a walk or `extract` trusts is
         checked: a rate in [1, n], a mark over the n rows with one sample
-        per rate text positions, and values and ISA rows in range."""
+        per rate text positions, values and ISA rows in range, and ISA rows
+        that rise strictly when read in the order of the values."""
         _, _, kind, n = serialize.read_header(f, serialize.MAGIC_SAMPLES)
         if kind != 0:
             raise serialize.FormatError(f"unknown sampling kind {kind}")
@@ -594,10 +595,13 @@ class SaSamples(serialize.Framed):
         values = IntVector.deserialize(f)
         isa_rows = IntVector.deserialize(f)
         m = -(-n // rate)
-        if (marked.t, len(marked)) != (cls.BLOCK, n) or (
-            marked.count_ones(), values.n, isa_rows.n
-        ) != (m, m, m):
+        if (len(marked), marked.count_ones(), values.n, isa_rows.n) != (n, m, m, m):
             raise serialize.FormatError("samples do not match n and the rate")
-        if int(values.to_numpy().max()) >= m or int(isa_rows.to_numpy().max()) >= n:
+        vals, isa = values.to_numpy(), isa_rows.to_numpy()
+        if int(vals.max()) >= m or int(isa.max()) >= n:
             raise serialize.FormatError("a sampled value or ISA row out of range")
+        # the j-th sampled row is isa[values[j]]; rows that rise strictly
+        # also make the values distinct, so a permutation of [0, m)
+        if (np.diff(isa[vals].astype(np.int64)) <= 0).any():
+            raise serialize.FormatError("sampled values and ISA rows disagree")
         return cls(rate, marked, values, isa_rows, n)

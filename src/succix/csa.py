@@ -176,11 +176,11 @@ class CsaWt(_CsaBase):
         self.n = n
 
     @classmethod
-    def build(cls, text_iv, sa_iv, sigma_total, sample_rate, backend="rrr"):
+    def build(cls, text_iv, sa_iv, sigma_total, sample_rate):
         bwt_iv = bwt_from_sa(text_iv, sa_iv)
         bwt = bwt_iv.to_numpy()
         del bwt_iv
-        wt = WaveletTreeHuff(bwt, sigma=sigma_total, backend=backend)
+        wt = WaveletTreeHuff(bwt, sigma=sigma_total, backend="rrr")
         samples = SaSamples.build(sa_iv, sample_rate)
         return cls(wt, samples, text_iv.n)
 

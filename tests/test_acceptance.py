@@ -611,10 +611,10 @@ def test_criterion_8_sampling_invariance():
 
     rates = (1, 4, 32, n)
     psis = {r: CsaPsi.build(text_iv, sa_iv, coll.sigma_total, r) for r in rates}
-    wts = {
-        r: CsaWt.build(text_iv, sa_iv, coll.sigma_total, r, backend="plain")
-        for r in rates
-    }
+    # CsaWt over a plain-bit BWT wavelet, built part by part
+    bwt = bwt_from_sa(text_iv, sa_iv).to_numpy()
+    wt = WaveletTreeHuff(bwt, sigma=coll.sigma_total, backend="plain")
+    wts = {r: CsaWt(wt, SaSamples.build(sa_iv, r), n) for r in rates}
 
     rows = rng.integers(0, n, 3_000)
     for i in rows:

@@ -1,3 +1,4 @@
+import copy
 import io
 import math
 
@@ -6,13 +7,16 @@ import pytest
 
 import oracles
 from succix import serialize
-from succix.bits import BackedBits, BitVector, read_field, width_for
+from succix.bits import BackedBits, BitVector, IntVector, read_field, width_for
 from succix.compressed import (
-    _CLASS_BITS,
+    _CLS15,
+    _DEC15,
+    _DEC15_START,
+    _OFF15,
+    _OFF_WIDTH,
+    BLOCK,
     RRRVector,
     SDVector,
-    decode_block,
-    encode_block,
     make_bits,
     read_bits,
 )
@@ -21,47 +25,52 @@ from succix.compressed import (
 class TestBlockCoding:
     def test_low_blocks_frozen(self):
         # colexicographic numbering: offset of {p_i} is sum C(p_i, i)
-        assert encode_block(0b0001, 15) == (1, 0)
-        assert encode_block(0b0010, 15) == (1, 1)
-        assert encode_block(0b0011, 15) == (2, 0)
-        assert encode_block(0b0101, 15) == (2, 1)
-        assert encode_block(0b0110, 15) == (2, 2)
+        def code(v):
+            return int(_CLS15[v]), int(_OFF15[v])
+
+        assert code(0b0001) == (1, 0)
+        assert code(0b0010) == (1, 1)
+        assert code(0b0011) == (2, 0)
+        assert code(0b0101) == (2, 1)
+        assert code(0b0110) == (2, 2)
         # positions {1, 3}: C(1,1) + C(3,2) = 1 + 3 = 4
-        assert encode_block(0b1010, 15) == (2, 4)
+        assert code(0b1010) == (2, 4)
 
     def test_offset_matches_oracle(self):
-        rng = np.random.default_rng(21)
-        for t in (15, 31, 63):
-            for _ in range(60):
-                word = int(rng.integers(0, 1 << t, dtype=np.uint64))
-                c, off = encode_block(word, t)
-                bits = [(word >> p) & 1 for p in range(t)]
-                assert c == sum(bits)
-                assert off == oracles.rrr_offset(bits)
-                assert decode_block(c, off, t) == word
+        """Class, offset and decode of every one of the 2^15 blocks."""
+        for v in range(1 << BLOCK):
+            bits = [(v >> p) & 1 for p in range(BLOCK)]
+            c, off = int(_CLS15[v]), int(_OFF15[v])
+            assert c == sum(bits)
+            assert off == oracles.rrr_offset(bits)
+            assert _DEC15[_DEC15_START[c] + off] == v
 
     def test_offset_range_is_dense(self):
-        # every offset in [0, C(t,c)) decodes to a distinct same-class block
-        t = 15
-        for c in (0, 1, 7, 15):
-            total = math.comb(t, c)
-            seen = set()
-            for off in range(min(total, 300)):
-                v = decode_block(c, off, t)
-                assert v.bit_count() == c
-                assert encode_block(v, t) == (c, off)
-                seen.add(v)
-            assert len(seen) == min(total, 300)
+        # the offsets of class c are exactly [0, C(15, c)), each decoding
+        # to a distinct block of that class
+        assert _DEC15_START[0] == 0 and _DEC15_START[-1] == 1 << BLOCK
+        for c in range(BLOCK + 1):
+            total = math.comb(BLOCK, c)
+            assert _DEC15_START[c + 1] - _DEC15_START[c] == total
+            assert _OFF_WIDTH[c] == (total - 1).bit_length()
+            block = list(_DEC15[_DEC15_START[c] : _DEC15_START[c + 1]])
+            assert {v.bit_count() for v in block} == {c}
+            assert [int(_OFF15[v]) for v in block] == list(range(total))
+
+
+def _rrr_bytes(rv):
+    buf = io.BytesIO()
+    rv.serialize(buf)
+    return bytearray(buf.getvalue())
 
 
 class TestRRRVector:
-    @pytest.mark.parametrize("t", [15, 31, 63])
-    def test_exhaustive_small(self, t):
-        for n in (0, 1, 5, t, t + 1, 2 * t + 3):
-            rng = np.random.default_rng(n * t + 1)
+    def test_exhaustive_small(self):
+        for n in (0, 1, 5, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+            rng = np.random.default_rng(n * BLOCK + 1)
             for _ in range(12):
                 bits = rng.random(n) < rng.random()
-                rv = RRRVector(bits, t)
+                rv = RRRVector(bits)
                 assert len(rv) == n
                 assert rv.count_ones() == int(bits.sum())
                 for i in range(n + 1):
@@ -69,12 +78,12 @@ class TestRRRVector:
                 for i in range(n):
                     assert rv.access(i) == int(bits[i])
 
-    @pytest.mark.parametrize("t,n", [(15, 200_000), (31, 20_000), (63, 9_000)])
     @pytest.mark.parametrize("density", [0.04, 0.5])
-    def test_randomized_large(self, t, n, density):
-        rng = np.random.default_rng(t + int(density * 10))
+    def test_randomized_large(self, density):
+        n = 200_000
+        rng = np.random.default_rng(BLOCK + int(density * 10))
         bits = rng.random(n) < density
-        rv = RRRVector(bits, t)
+        rv = RRRVector(bits)
         cum = np.concatenate([[0], np.cumsum(bits)])
         for i in rng.integers(0, n + 1, size=300):
             assert rv.rank(int(i)) == int(cum[i])
@@ -87,11 +96,11 @@ class TestRRRVector:
         with pytest.raises(ValueError):
             rv.select(len(ones) + 1)
 
-    @pytest.mark.parametrize("t", [15, 31, 63])
-    def test_superblock_edges(self, t):
+    def test_superblock_edges(self):
         """rank/access within 2 of every block (and so superblock) edge,
         and select/select0 around every class change, over runs of empty
         and full blocks, built and reloaded."""
+        t = BLOCK
         rng = np.random.default_rng(t)
         sb = RRRVector.SB_BLOCKS * t
         parts = [
@@ -107,7 +116,7 @@ class TestRRRVector:
         bits = np.concatenate(parts)
         n = len(bits)
         assert n % t
-        built = RRRVector(bits, t)
+        built = RRRVector(bits)
         buf = io.BytesIO()
         built.serialize(buf)
         buf.seek(0)
@@ -131,6 +140,34 @@ class TestRRRVector:
                 assert len(js) > 50
                 assert np.array_equal([sel(int(j)) for j in js], pos[js - 1])
 
+    @pytest.mark.parametrize("kind", ["zeros", "ones", "random"])
+    @pytest.mark.parametrize(
+        "n", [0, 1, BLOCK] + [480 * k + d for k in (1, 2, 7) for d in (-1, 1)]
+    )
+    def test_directory_matches_cumsum(self, n, kind):
+        """The superblock ranks and pointers summed from the class bytes
+        are the running class and offset-width totals at every 32nd
+        block, built and reloaded."""
+        rng = np.random.default_rng(n)
+        bits = {
+            "zeros": np.zeros(n, dtype=bool),
+            "ones": np.ones(n, dtype=bool),
+            "random": rng.random(n) < 0.4,
+        }[kind]
+        built = RRRVector(bits)
+        classes = np.frombuffer(built.classes, dtype=np.uint8).astype(np.int64)
+        ends = np.minimum(
+            np.arange(-(-len(classes) // 32) + 1) * RRRVector.SB_BLOCKS, len(classes)
+        )
+        ranks = np.concatenate([[0], np.cumsum(classes)])[ends]
+        ptrs = np.concatenate([[0], np.cumsum(_OFF_WIDTH[classes])])[ends]
+        back = RRRVector.deserialize(io.BytesIO(_rrr_bytes(built)))
+        for rv in (built, back):
+            assert np.array_equal(rv.sb_ranks, ranks)
+            assert np.array_equal(rv.sb_ptrs, ptrs)
+            assert rv.count_ones() == int(bits.sum()) == ranks[-1]
+            assert rv.offsets.n == ptrs[-1]
+
     def test_compresses_skewed_bits(self):
         n = 500_000
         rng = np.random.default_rng(5)
@@ -141,41 +178,35 @@ class TestRRRVector:
 
     def test_round_trip(self):
         rng = np.random.default_rng(22)
-        for t in (15, 31, 63):
-            bits = rng.random(5000) < 0.3
-            rv = RRRVector(bits, t)
-            buf = io.BytesIO()
-            written = rv.serialize(buf)
-            assert written == rv.serialized_bytes() == len(buf.getvalue())
-            buf.seek(0)
-            rv2 = RRRVector.deserialize(buf)
-            assert rv2.t == t and rv2.n == 5000
-            for i in rng.integers(0, 5001, size=60):
-                assert rv2.rank(int(i)) == rv.rank(int(i))
-            assert np.array_equal(rv2.to_bool(), bits)
-
-    @pytest.mark.parametrize("t", [15, 31, 63])
-    @pytest.mark.parametrize("density", [0.0, 0.01, 0.3, 1.0])
-    def test_class_width_is_that_of_the_largest_class(self, t, density):
-        rng = np.random.default_rng(int(density * 100) + t)
-        rv = RRRVector(rng.random(3000) < density, t)
-        top = max(rv.classes)
+        bits = rng.random(5000) < 0.3
+        rv = RRRVector(bits)
         buf = io.BytesIO()
-        rv.serialize(buf)
-        # the classes frame follows the RRR header; byte 9 is its width
-        width = buf.getvalue()[serialize.HEADER_BYTES + 9]
-        assert width == rv._frame().parts[0][1].width == width_for(top)
+        written = rv.serialize(buf)
+        assert written == rv.serialized_bytes() == len(buf.getvalue())
         buf.seek(0)
-        assert np.array_equal(RRRVector.deserialize(buf).to_bool(), rv.to_bool())
+        rv2 = RRRVector.deserialize(buf)
+        assert rv2.n == 5000
+        for i in rng.integers(0, 5001, size=60):
+            assert rv2.rank(int(i)) == rv.rank(int(i))
+        assert np.array_equal(rv2.to_bool(), bits)
 
-    @pytest.mark.parametrize("t", [15, 31, 63])
-    def test_loader_takes_any_class_width_up_to_the_widest(self, t):
-        rv = RRRVector(np.arange(2000) % 9 == 0, t)
-        for width, ok in ((_CLASS_BITS[t], True), (_CLASS_BITS[t] + 1, False)):
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.3, 1.0])
+    def test_class_width_is_that_of_the_largest_class(self, density):
+        rng = np.random.default_rng(int(density * 100) + BLOCK)
+        rv = RRRVector(rng.random(3000) < density)
+        top = max(rv.classes)
+        data = _rrr_bytes(rv)
+        # the classes frame follows the RRR header; byte 9 is its width
+        width = data[serialize.HEADER_BYTES + 9]
+        assert width == rv._frame().parts[0][1].width == width_for(top)
+        back = RRRVector.deserialize(io.BytesIO(data))
+        assert np.array_equal(back.to_bool(), rv.to_bool())
+
+    def test_loader_takes_any_class_width_up_to_the_widest(self):
+        rv = RRRVector(np.arange(2000) % 9 == 0)
+        for width, ok in ((width_for(BLOCK), True), (width_for(BLOCK) + 1, False)):
             rv.class_width = width
-            buf = io.BytesIO()
-            rv.serialize(buf)
-            buf.seek(0)
+            buf = io.BytesIO(_rrr_bytes(rv))
             if ok:
                 back = RRRVector.deserialize(buf)
                 assert np.array_equal(back.to_bool(), rv.to_bool())
@@ -184,8 +215,51 @@ class TestRRRVector:
                     RRRVector.deserialize(buf)
 
     def test_bad_block_size(self):
-        with pytest.raises(ValueError):
-            RRRVector([1, 0, 1], 16)
+        """The header's width byte is the block size, and only 15 loads."""
+        data = _rrr_bytes(RRRVector(np.arange(700) % 3 == 0))
+        assert data[9] == BLOCK
+        for t in (0, 14, 16, 31, 63, 255):
+            data[9] = t
+            with pytest.raises(serialize.FormatError, match="block size"):
+                RRRVector.deserialize(io.BytesIO(data))
+
+    def test_offset_stream_must_match_the_classes(self):
+        """An offset stream one bit or one field short or long raises
+        FormatError; the intact one loads."""
+        rng = np.random.default_rng(31)
+        rv = RRRVector(rng.random(3000) < 0.3)
+        stream = rv.offsets.to_numpy()
+        last = int(_OFF_WIDTH[rv.classes[-1]])
+        assert last and len(stream) == rv.sb_ptrs[-1]
+        for delta in (0, -1, 1, -last, 13):
+            bits = np.zeros(len(stream) + delta, dtype=np.uint64)
+            keep = min(len(stream), len(bits))
+            bits[:keep] = stream[:keep]
+            bad = copy.copy(rv)
+            bad.offsets = IntVector(bits, 1)
+            data = io.BytesIO(_rrr_bytes(bad))
+            if delta:
+                with pytest.raises(serialize.FormatError, match="offset stream"):
+                    RRRVector.deserialize(data)
+            else:
+                back = RRRVector.deserialize(data)
+                assert np.array_equal(back.to_bool(), rv.to_bool())
+
+    @pytest.mark.parametrize("n", [16, 29, 3001])
+    def test_one_bits_past_n_raise_format_error(self, n):
+        """A last block stored with its top bit, which lies past n, set
+        (class, offset and offset stream to match) does not load."""
+        rng = np.random.default_rng(n)
+        rv = RRRVector(rng.random(n) < 0.5)
+        v = rv._block_value(rv.nblocks - 1) | 1 << (BLOCK - 1)
+        c, off = int(_CLS15[v]), int(_OFF15[v])
+        head = rv.offsets.to_numpy()[: rv.offsets.n - _OFF_WIDTH[rv.classes[-1]]]
+        field = (off >> np.arange(_OFF_WIDTH[c])) & 1
+        bad = copy.copy(rv)
+        bad.classes, bad.class_width = rv.classes[:-1] + bytes([c]), 4
+        bad.offsets = IntVector(np.concatenate([head, field]).astype(np.uint64), 1)
+        with pytest.raises(serialize.FormatError, match="padding"):
+            RRRVector.deserialize(io.BytesIO(_rrr_bytes(bad)))
 
     def test_size_tree_matches_stream(self):
         rv = RRRVector(np.arange(4000) % 7 == 0)

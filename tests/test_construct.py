@@ -332,14 +332,15 @@ class TestBwtPsiD:
         assert d_iv.to_numpy().tolist() == ex.D
 
     @pytest.mark.parametrize("seed", [5, 6])
-    def test_randomized_streaming_matches_oracle(self, seed):
+    def test_randomized_streaming_matches_oracle(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         t = rng.integers(2, 6, size=3000).astype(np.int64)
         t[-1] = 0
         sa, sa_iv = build_suffix_array(t)
         t_iv = IntVector(t, 3)
         # small chunks force the streaming paths across boundaries
-        bwt_iv = bwt_from_sa(t_iv, sa_iv, chunk=256)
+        monkeypatch.setattr(construct, "_CHUNK", 256)
+        bwt_iv = bwt_from_sa(t_iv, sa_iv)
         assert bwt_iv.to_numpy().tolist() == oracles.bwt(t.tolist(), sa.tolist())
         psi = psi_from_bwt(bwt_iv, 6)
         expect_psi = oracles.psi(t.tolist(), sa.tolist())
@@ -360,14 +361,15 @@ class TestBwtPsiD:
         assert list(psi.bounds) == [0] + np.cumsum(hist).tolist()
 
     @pytest.mark.parametrize("n_docs", [255, 256])
-    def test_d_matches_sharp_search(self, n_docs):
+    def test_d_matches_sharp_search(self, n_docs, monkeypatch):
         # document ids of 8 and 16 bits; the global terminator's is n_docs
         rng = np.random.default_rng(n_docs)
         docs = [bytes(rng.integers(97, 101, size=rng.integers(0, 6)).tolist())
                 for _ in range(n_docs)]
         coll = Collection(docs, ByteAlphabet.from_docs(docs))
         sa, sa_iv = build_suffix_array(coll.text)
-        d_iv = d_from_sa(sa_iv, coll.sharp_positions, coll.n_docs, chunk=128)
+        monkeypatch.setattr(construct, "_CHUNK", 128)
+        d_iv = d_from_sa(sa_iv, coll.sharp_positions, coll.n_docs)
         expect = np.searchsorted(coll.sharp_positions, sa, side="left")
         assert d_iv.to_numpy().tolist() == expect.tolist()
 
@@ -456,12 +458,13 @@ class TestSaSamples:
 
     # ids keep the names these cases had beside the removed suffix order
     @pytest.mark.parametrize("rate", [1, 4, 32, 10_000], ids="{}-text".format)
-    def test_randomized_lookup(self, rate):
+    def test_randomized_lookup(self, rate, monkeypatch):
         rng = np.random.default_rng(rate)
         t = rng.integers(2, 6, size=5000).astype(np.int64)
         t[-1] = 0
         sa, sa_iv = build_suffix_array(t)
-        s = SaSamples.build(sa_iv, rate, chunk=1024)
+        monkeypatch.setattr(construct, "_CHUNK", 1024)
+        s = SaSamples.build(sa_iv, rate)
         got_rate = min(rate, 5000)
         assert s.rate == got_rate
         for row in rng.integers(0, 5000, size=200):
@@ -473,19 +476,19 @@ class TestSaSamples:
             assert s.isa_sample(tpos) == isa[tpos * got_rate]
 
     @pytest.mark.parametrize("rate", [1, 2, 32, 3000, 3005])
-    def test_lookup_every_row(self, rate):
+    def test_lookup_every_row(self, rate, monkeypatch):
         """lookup(r) is SA[r] exactly at the rows whose value is a multiple
         of the rate, which build clamps to [1, n]."""
         rng = np.random.default_rng(17)
         t = rng.integers(2, 5, size=3000).astype(np.int64)
         t[-1] = 0
         sa, sa_iv = build_suffix_array(t)
-        s = SaSamples.build(sa_iv, rate, chunk=1024)
+        monkeypatch.setattr(construct, "_CHUNK", 1024)
+        s = SaSamples.build(sa_iv, rate)
         got_rate = min(rate, 3000)
         assert s.rate == got_rate
         expect = [int(v) if v % got_rate == 0 else None for v in sa]
         assert [s.lookup(r) for r in range(3000)] == expect
-        assert s.marked.t == 15
         assert s.marked.count_ones() == -(-3000 // got_rate)
 
     def test_sa_access_makes_no_select_for_its_mark_tests(self, monkeypatch):

@@ -128,7 +128,7 @@ def _small_structures():
             lambda f, s: SelectSupport.deserialize(f, s.bv, s.rank_support, s.value),
         ),
         ("BackedBits", BackedBits(bv, select1=True, select0=True), own(BackedBits)),
-        ("RRRVector", RRRVector(bits, block_size=31), own(RRRVector)),
+        ("RRRVector", RRRVector(bits), own(RRRVector)),
         ("SDVector", SDVector(ones, 5000), own(SDVector)),
         # four lists: empty, the ones below 2500, the single value 7, the rest
         (
@@ -198,12 +198,12 @@ def test_frame_sizes_agree_and_reload_is_byte_identical(obj, reader):
     assert again.getvalue() == data
 
 
-# Files written by version 5 of this format for the worked example
+# Files written by version 6 of this format for the worked example
 # (default build options); a layout change must bump FORMAT_VERSION.
 EXAMPLE_INDEX_SHA256 = {
-    "sada": "d7d6eb3029cc3619d7a55048ce05712f493dbc58f56ee1005ab77cddf8613766",
-    "greedy": "9514c7f0b02741e2ad0335af3d904adbf492a6537bb7b195fd6fc9cb98ab56c4",
-    "sort": "ad9eb612c68e1ef1c865f3453a6e5d9e607a7b1cec058a79fe0ac13dee46b242",
+    "sada": "318e2447e44cc06254679497faa537d81527ebc6db5ccb41dd8c1bf8a55479e5",
+    "greedy": "d76b051aa6ee9c3d84c29c78538bb00ca35afe625e7c0abc2616c20735d8779c",
+    "sort": "e3c078fa340389f705a424ae6f31f44695ff71d835527d6ac9a2889336d12d14",
 }
 
 
@@ -253,6 +253,15 @@ def test_format_4_files_raise_format_error(algo):
     not load."""
     with pytest.raises(serialize.FormatError, match="version 4"):
         read_index(io.BytesIO(_with_version(algo, 4)))
+
+
+@pytest.mark.parametrize("algo", ["sada", "greedy"])
+def test_format_5_files_raise_format_error(algo):
+    """Format 5 stored each RRR vector's superblock ranks and pointers
+    and allowed blocks of 31 and 63 bits, so a file with its version
+    bytes must not load."""
+    with pytest.raises(serialize.FormatError, match="version 5"):
+        read_index(io.BytesIO(_with_version(algo, 5)))
 
 
 def _small_indexes(rng):
@@ -361,6 +370,11 @@ def _hostile_samples():
 
     extra = bits.copy()
     extra[np.flatnonzero(~bits)[0]] = True
+    # two of the stored values, and two of the ISA rows, traded places
+    i, j = rng.choice(m, size=2, replace=False)
+    swapped_values, swapped_isa = values.copy(), isa.copy()
+    swapped_values[[i, j]] = values[[j, i]]
+    swapped_isa[[i, j]] = isa[[j, i]]
     _, other_sa = build_suffix_array(text[1:])
     return text, sa_iv, [
         ("no marks", samples(bits=np.zeros(_N, dtype=bool))),
@@ -372,6 +386,8 @@ def _hostile_samples():
         ("short ISA rows", samples(isa=isa[:-1])),
         ("value out of range", samples(values=np.where(values == 0, m, values))),
         ("ISA row out of range", samples(isa=np.where(isa == isa[0], _N, isa))),
+        ("two values swapped", samples(values=swapped_values)),
+        ("two ISA rows swapped", samples(isa=swapped_isa)),
         ("samples of another text", SaSamples.build(other_sa, _RATE)),
     ]
 
