@@ -5,9 +5,9 @@ Layout notes that the rest of the library relies on:
     64-bit words; value i occupies bits [i*w, (i+1)*w).
   * RankSupport keeps a two-level directory per 2048-bit superblock: one
     word with the absolute rank at the superblock start, one word packing
-    five relative counts at 384-bit offsets, as 11-bit lanes on file and
-    12-bit lanes in memory. Overhead is 128 bits per 2048, i.e. 6.25% of
-    n, which stays under the 8% budget.
+    five relative counts at 384-bit offsets as 12-bit lanes, on file as in
+    memory. Overhead is 128 bits per 2048, i.e. 6.25% of n, which stays
+    under the 8% budget.
   * SelectSupport samples the position of every 4096th target bit,
     narrows with a binary search over per-superblock target counts and
     finds the sub-block by one compare over all five 12-bit lanes.
@@ -38,7 +38,7 @@ _SELECT_IN_BYTE = bytes(
 # The five sub-block counts of a superblock, lane k holding the count in
 # its first k + 1 sub-blocks of 384 bits: at most 1920, so bit 11 of every
 # 12-bit lane is clear and serves as a guard bit for lane-parallel compares.
-_LANES = np.arange(5, dtype=np.uint64)
+_LANE_SHIFTS = np.arange(0, 60, 12, dtype=np.uint64)
 _LANE_GUARDS = sum(1 << 12 * k + 11 for k in range(5))
 # r - 1 in every lane under its guard bit, for r in 1..2048 (0 is unused)
 _LANE_TARGETS = tuple(
@@ -49,16 +49,6 @@ _SUB_ENDS = sum(384 * (k + 1) << 12 * k for k in range(5))
 # caps on a superblock's row (lane 0, ..., lane 4, its ones), which rises
 # from 0: the bits in the lanes' sub-blocks, then the superblock's bits
 _ROW_CAPS = np.array([384, 768, 1152, 1536, 1920, 2048])
-
-
-def _lanes(rel, spacing):
-    """The five sub-block counts of each count word, one column each, from
-    lanes `spacing` bits apart (11 on file, 12 in memory)."""
-    return (rel[:, None] >> (_LANES * np.uint64(spacing))) & np.uint64(0x7FF)
-
-
-def _pack_lanes(lanes, spacing):
-    return np.bitwise_or.reduce(lanes << (_LANES * np.uint64(spacing)), axis=1)
 
 
 def width_for(max_value):
@@ -350,10 +340,9 @@ class RankSupport(serialize.Framed):
 
     Per 2048-bit superblock, `abs_counts` holds the ones before it and
     `rel_counts` one word with the ones in its first 1..5 sub-blocks of
-    384 bits. In memory those five counts are 12-bit lanes (lane k at bit
-    12k), so SelectSupport compares all of them at once; the stored
-    directory packs them as 11-bit lanes, and the frame and the loader
-    convert between the two.
+    384 bits. Those five counts are 12-bit lanes (lane k at bit 12k), so
+    SelectSupport compares all of them at once, and the directory is
+    stored as it is held.
     """
 
     _tag = "rank"
@@ -418,7 +407,7 @@ class RankSupport(serialize.Framed):
     def _frame(self):
         dir_words = np.empty(2 * len(self.abs_counts), dtype="<u8")
         dir_words[0::2] = self.abs_counts
-        dir_words[1::2] = _pack_lanes(_lanes(self.rel_counts, 12), 11)
+        dir_words[1::2] = self.rel_counts
         return serialize.Frame(
             serialize.MAGIC_RANK, 64, len(dir_words), dir_words
         )
@@ -431,7 +420,9 @@ class RankSupport(serialize.Framed):
         rs = cls.__new__(cls)
         rs.bv = bv
         rs.abs_counts = dir_words[0::2].astype(np.int64)
-        lanes = _lanes(dir_words[1::2], 11)
+        rs.rel_counts = dir_words[1::2].copy()
+        # each lane read with its guard bit, so a set guard exceeds its cap
+        lanes = (rs.rel_counts[:, None] >> _LANE_SHIFTS) & np.uint64(0xFFF)
         expected = -(-bv.n // cls.SUPER_BITS) + 1 if bv.n else 1
         if len(rs.abs_counts) != expected:
             raise serialize.FormatError("rank directory does not match bitvector")
@@ -439,11 +430,10 @@ class RankSupport(serialize.Framed):
         # within _ROW_CAPS; the sentinel's ones are 0, so its lanes must be
         ones = np.diff(rs.abs_counts, append=rs.abs_counts[-1])
         rows = np.column_stack((lanes.astype(np.int64), ones))
-        if rs.abs_counts[0] or (
+        if rs.abs_counts[0] or (rs.rel_counts >> np.uint64(60)).any() or (
             (np.diff(rows, prepend=0) < 0).any() or (rows > _ROW_CAPS).any()
         ):
             raise serialize.FormatError("impossible rank directory counts")
-        rs.rel_counts = _pack_lanes(lanes, 12)
         rs.total_ones = int(rs.abs_counts[-1])
         rs._finish()
         return rs
@@ -455,9 +445,9 @@ class SelectSupport(serialize.Framed):
     Stores the position of every 4096th target bit. A query bisects the
     per-superblock target counts between the superblocks of its two
     neighbouring samples. It finds the sub-block in one step from the rank
-    directory's in-memory 12-bit lanes (the stored directory's 11-bit lanes
-    have no room for the guard bits), then steps through the words and the
-    word's 32-, 16- and 8-bit halves to a byte table.
+    directory's 12-bit lanes, whose top bits serve as guard bits, then
+    steps through the words and the word's 32-, 16- and 8-bit halves to a
+    byte table.
     """
 
     _tag = "select"
@@ -565,8 +555,8 @@ class SelectSupport(serialize.Framed):
 class BackedBits(serialize.Framed):
     """A BitVector bundled with rank (and optionally select) supports.
 
-    This is the plain backend used by wavelet trees, Elias-Fano high parts
-    and the RMQ parenthesis sequence; access/rank/select all in one place.
+    The plain bits of the Elias-Fano high parts, the document borders and
+    the RMQ parenthesis sequence; access/rank/select all in one place.
     """
 
     _tag = "bits"

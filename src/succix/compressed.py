@@ -136,21 +136,26 @@ class RRRVector(serialize.Framed):
 
     def _block_value(self, b):
         """Decode block b, reading its offset field from its superblock's
-        pointer on (b >> 5 is b's superblock, SB_BLOCKS being 32)."""
+        pointer on (b >> 5 is b's superblock, SB_BLOCKS being 32). An
+        offset at or past C(15, c), which would decode to a block of the
+        next class, raises FormatError."""
         classes = self.classes
         c = classes[b]
         w = _WIDTHS[c]
-        off = 0
-        if w:
-            s = b >> 5
-            ptr = self._ptrs[s] + sum(classes[s << 5 : b].translate(_WIDTHS))
-            words = self._words
-            sh = ptr & 63
-            off = words[ptr >> 6] >> sh
-            if sh + w > 64:
-                off |= words[(ptr >> 6) + 1] << (64 - sh)
-            off &= (1 << w) - 1
-        return _DEC15[_DEC15_START[c] + off]
+        if not w:
+            # classes 0 and 15 have one block each
+            return _DEC15[_DEC15_START[c]]
+        s = b >> 5
+        ptr = self._ptrs[s] + sum(classes[s << 5 : b].translate(_WIDTHS))
+        words = self._words
+        sh = ptr & 63
+        off = words[ptr >> 6] >> sh
+        if sh + w > 64:
+            off |= words[(ptr >> 6) + 1] << (64 - sh)
+        k = _DEC15_START[c] + (off & ((1 << w) - 1))
+        if k >= _DEC15_START[c + 1]:
+            raise serialize.FormatError(f"RRR block {b} has an offset past class {c}")
+        return _DEC15[k]
 
     def access(self, i):
         i = int(i)
@@ -175,6 +180,23 @@ class RRRVector(serialize.Framed):
         if r:
             total += (self._block_value(b) & ((1 << r) - 1)).bit_count()
         return total
+
+    def rank_if_set(self, i):
+        """rank(i) if bit i is set, else None. A bit in a class-0 block
+        costs one class byte, and an unset bit one block decode; only a
+        set bit sums the classes before its block."""
+        if not 0 <= i < self.n:
+            raise IndexError("bit index out of range")
+        b, r = divmod(i, BLOCK)
+        classes = self.classes
+        if not classes[b]:
+            return None
+        v = self._block_value(b)
+        if not v >> r & 1:
+            return None
+        s = b >> 5
+        before = self._ranks[s] + sum(classes[s << 5 : b])
+        return before + (v & ((1 << r) - 1)).bit_count()
 
     def rank0(self, i):
         i = max(0, min(int(i), self.n))
@@ -432,27 +454,3 @@ class SDVector(serialize.Framed):
         sd._finish()
         return sd
 
-
-def make_bits(bits, kind="plain", select1=False, select0=False):
-    """Build a rank-capable bit structure of the requested kind.
-
-    Both kinds share the query protocol (len, access, rank, rank0,
-    select, select0, count_ones, serialize); RRR carries select built in.
-    """
-    if kind == "rrr":
-        return RRRVector(bits)
-    if kind == "plain":
-        if not isinstance(bits, BitVector):
-            bits = BitVector(bits)
-        return BackedBits(bits, select1=select1, select0=select0)
-    raise ValueError(f"unknown bits backend {kind!r}")
-
-
-def read_bits(f):
-    """Deserialize whatever make_bits wrote, dispatching on the magic."""
-    magic = serialize.peek_magic(f)
-    if magic == serialize.MAGIC_RRR:
-        return RRRVector.deserialize(f)
-    if magic == serialize.MAGIC_BITVEC:
-        return BackedBits.deserialize(f)
-    raise serialize.FormatError(f"unexpected magic {magic!r}")

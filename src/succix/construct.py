@@ -19,7 +19,7 @@ import numpy as np
 
 from . import serialize
 from .bits import IntVector, gather_ints, pack_fields, pack_ints, read_field, width_for
-from .compressed import _DEC15, _DEC15_START, _WIDTHS, RRRVector, SDVector
+from .compressed import RRRVector, SDVector
 
 GLOBAL_TERMINATOR = 0
 DOC_TERMINATOR = 1
@@ -493,12 +493,6 @@ class SaSamples(serialize.Framed):
         self.values = values
         self.isa_rows = isa_rows
         self.n = n
-        # lookup reads the mark's fields without calling into it
-        self._classes = marked.classes
-        self._widths = _WIDTHS
-        self._ptrs = marked._ptrs
-        self._ranks = marked._ranks
-        self._offsets = marked._words
 
     @classmethod
     def build(cls, sa_iv, rate):
@@ -531,39 +525,13 @@ class SaSamples(serialize.Framed):
     def lookup(self, row):
         """SA value at this row if the row is sampled, else None.
 
-        A row whose block has class 0 holds no sample (at rate 32 that is
-        (31/32)^15, about 62% of rows). Otherwise the block is decoded from
-        its superblock's offset pointer, and the rank that finds a sampled
-        row's value is only worked out on a hit.
+        The mark answers whether the row is sampled and, only on a hit,
+        the rank that finds its value. A row whose block has class 0 holds
+        no sample (at rate 32 that is (31/32)^15, about 62% of rows) and
+        costs one class byte.
         """
-        b, r = divmod(row, 15)  # compressed.BLOCK, as a literal
-        classes = self._classes
-        c = classes[b]
-        if not c:
-            return None
-        s = b >> 5  # RRRVector.SB_BLOCKS is 32
-        prefix = classes[s << 5 : b]
-        w = self._widths[c]
-        off = 0
-        if w:
-            ptr = self._ptrs[s] + sum(prefix.translate(self._widths))
-            words = self._offsets
-            sh = ptr & 63
-            off = words[ptr >> 6] >> sh
-            if sh + w > 64:
-                off |= words[(ptr >> 6) + 1] << (64 - sh)
-            off &= (1 << w) - 1
-        v = _DEC15[_DEC15_START[c] + off]
-        if not v >> r & 1:
-            return None
-        before = self._ranks[s] + sum(prefix) + (v & ((1 << r) - 1)).bit_count()
-        values = self.values
-        bit = before * values.width
-        sh = bit & 63
-        v = values._words[bit >> 6] >> sh
-        if sh + values.width > 64:
-            v |= values._words[(bit >> 6) + 1] << (64 - sh)
-        return (v & values._mask) * self.rate
+        r = self.marked.rank_if_set(row)
+        return None if r is None else self.values[r] * self.rate
 
     def isa_sample(self, t):
         """Row of the suffix starting at text position t*rate."""

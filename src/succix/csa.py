@@ -180,7 +180,7 @@ class CsaWt(_CsaBase):
         bwt_iv = bwt_from_sa(text_iv, sa_iv)
         bwt = bwt_iv.to_numpy()
         del bwt_iv
-        wt = WaveletTreeHuff(bwt, sigma=sigma_total, backend="rrr")
+        wt = WaveletTreeHuff(bwt, sigma=sigma_total)
         samples = SaSamples.build(sa_iv, sample_rate)
         return cls(wt, samples, text_iv.n)
 

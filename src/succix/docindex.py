@@ -385,14 +385,12 @@ def build_sada(collection, sample_rate=32, temp_dir=None):
 
 def _build_over_bwt_wavelet(cls, collection, sample_rate, temp_dir, doc_part):
     """The `sa`, `bwt` and `d` phases of greedy and sort; `doc_part` makes
-    the layout's document structure from D. By default one SA sample per
-    2^20 rows."""
+    the layout's document structure from D."""
     mm = memory_monitor
     text_iv = collection.packed_text()
-    rate = min(1 << 20, collection.n) if sample_rate is None else sample_rate
     sa_iv = _sa_phase(collection, temp_dir)
     with mm.phase("bwt"):
-        csa = CsaWt.build(text_iv, sa_iv, collection.sigma_total, rate)
+        csa = CsaWt.build(text_iv, sa_iv, collection.sigma_total, sample_rate)
     with mm.phase("d"):
         d_iv = _doc_array(collection, sa_iv, temp_dir)
         del sa_iv
@@ -401,18 +399,16 @@ def _build_over_bwt_wavelet(cls, collection, sample_rate, temp_dir, doc_part):
     return cls(csa, collection.alphabet, collection.n_docs, docs)
 
 
-def build_greedy(collection, sample_rate=None, temp_dir=None):
+def build_greedy(collection, sample_rate=1 << 20, temp_dir=None):
     return _build_over_bwt_wavelet(
         GreedyIndex, collection, sample_rate, temp_dir,
         lambda d_iv: WaveletTree(
-            d_iv.to_numpy().astype(np.int64),
-            sigma=collection.n_docs + 1,
-            backend="rrr",
+            d_iv.to_numpy().astype(np.int64), sigma=collection.n_docs + 1
         ),
     )
 
 
-def build_sort(collection, sample_rate=None, temp_dir=None):
+def build_sort(collection, sample_rate=1 << 20, temp_dir=None):
     return _build_over_bwt_wavelet(
         SortIndex, collection, sample_rate, temp_dir, lambda d_iv: d_iv
     )

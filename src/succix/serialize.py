@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .sizereport import SizeTree
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 HEADER_BYTES = 18
 
 MAGIC_INTVEC = b"sxintvec"

@@ -1,16 +1,16 @@
 """Wavelet matrices over integer sequences, balanced or Huffman-shaped.
 
 Both shapes are one wavelet matrix (Claude, Navarro & Ordonez, "The
-wavelet matrix", 2015): level l holds bit l, counted from the first, of
-every element's code that is longer than l. Level 0 is the sequence in
-order; level l + 1 is level l's elements with bit 0 followed by those
-with bit 1, each group in its order on level l, cut to the elements whose
-code goes on. With z the zero count of level l, the element at position
-i moves to i - rank1(i) or to z + rank1(i). Every element of symbol c
-ends, after its last bit, in one run that starts at c's leaf start, and
-the elements before position i land at the front of that run: so
-rank(i, c) is one bit rank per level and a subtraction, and access(i)
-also yields rank(i, access(i)).
+wavelet matrix", 2015): level l, an RRRVector, holds bit l, counted from
+the first, of every element's code that is longer than l. Level 0 is the
+sequence in order; level l + 1 is level l's elements with bit 0 followed
+by those with bit 1, each group in its order on level l, cut to the
+elements whose code goes on. With z the zero count of level l, the
+element at position i moves to i - rank1(i) or to z + rank1(i). Every
+element of symbol c ends, after its last bit, in one run that starts at
+c's leaf start, and the elements before position i land at the front of
+that run: so rank(i, c) is one bit rank per level and a subtraction, and
+access(i) also yields rank(i, access(i)).
 
 The shapes differ only in the per-symbol table of codes and lengths.
 WaveletTree gives every symbol of [0, sigma) its own value as a code of
@@ -28,10 +28,8 @@ import numpy as np
 
 from . import serialize
 from .bits import IntVector, width_for
-from .compressed import make_bits, read_bits
+from .compressed import RRRVector
 
-_BACKEND_IDS = {"plain": 0, "rrr": 1}
-_BACKEND_NAMES = {v: k for k, v in _BACKEND_IDS.items()}
 _MAX_CODE_BITS = 63
 
 
@@ -47,7 +45,7 @@ class _WaveletMatrix(serialize.Framed):
 
     _shape = None
 
-    def __init__(self, seq, sigma=None, backend="plain"):
+    def __init__(self, seq, sigma=None):
         seq = np.asarray(seq, dtype=np.int64)
         if len(seq) and int(seq.min()) < 0:
             raise ValueError("symbols must be non-negative")
@@ -59,7 +57,6 @@ class _WaveletMatrix(serialize.Framed):
             raise ValueError("symbol out of range for sigma")
         self.n = len(seq)
         self.sigma = int(sigma)
-        self.backend = backend
         counts = np.bincount(seq, minlength=self.sigma)
         self._set_table(self._lengths(counts), counts)
         # each element's code, left-aligned to the height: level l reads
@@ -70,7 +67,7 @@ class _WaveletMatrix(serialize.Framed):
         levels = []
         for level in range(h):
             bits = ((cur >> (h - 1 - level)) & 1).astype(bool)
-            levels.append(make_bits(bits, backend))
+            levels.append(RRRVector(bits))
             if level + 1 < h:
                 # compress runs several times faster than a boolean index;
                 # the elements whose code ended here are the tail
@@ -176,7 +173,7 @@ class _WaveletMatrix(serialize.Framed):
             table.insert(0, ("lengths", IntVector(self.lengths, width)))
         return serialize.Frame(
             serialize.MAGIC_WT, self._shape, self.n,
-            struct.pack("<BQ", _BACKEND_IDS[self.backend], self.sigma),
+            struct.pack("<Q", self.sigma),
             table + [(f"level{i}", bv) for i, bv in enumerate(self.levels)],
         )
 
@@ -185,11 +182,9 @@ class _WaveletMatrix(serialize.Framed):
         _, _, shape, n = serialize.read_header(f, serialize.MAGIC_WT)
         if shape != cls._shape:
             raise serialize.FormatError(f"not a {cls.__name__} frame")
-        kind, sigma = serialize.read_fields(f, "<BQ")
-        if kind not in _BACKEND_NAMES:
-            raise serialize.FormatError(f"unknown bits backend id {kind}")
+        (sigma,) = serialize.read_fields(f, "<Q")
         wt = cls.__new__(cls)
-        wt.n, wt.sigma, wt.backend = n, sigma, _BACKEND_NAMES[kind]
+        wt.n, wt.sigma = n, sigma
         lengths = IntVector.deserialize(f).to_numpy() if shape else None
         counts = IntVector.deserialize(f).to_numpy()
         if not sigma or len(counts) != sigma or (shape and len(lengths) != sigma):
@@ -201,7 +196,7 @@ class _WaveletMatrix(serialize.Framed):
         counts = counts.astype(np.int64)
         lengths = lengths.astype(np.int64) if shape else cls._lengths(counts)
         wt._set_table(lengths, counts)
-        levels = [read_bits(f) for _ in range(wt.height)]
+        levels = [RRRVector.deserialize(f) for _ in range(wt.height)]
         if [len(bv) for bv in levels] != wt._level_n:
             raise serialize.FormatError(
                 "a wavelet level's length is not the number of codes longer "

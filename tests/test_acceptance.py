@@ -142,6 +142,7 @@ def _check_bitvector_backends(bits):
         b = bool(bits[i])
         assert bv[i] == b
         assert rrr.access(i) == b
+        assert rrr.rank_if_set(i) == (int(pref[i]) if b else None)
     if len(ones):
         ss = SelectSupport(bv, rs)
         for j in range(1, len(ones) + 1):
@@ -223,6 +224,7 @@ def test_criterion_1_oracle_suite():
             i = int(i)
             assert bv[i] == bool(bits[i])
             assert rrr.access(i) == bool(bits[i])
+            assert rrr.rank_if_set(i) == (int(pref[i]) if bits[i] else None)
         for j in rng.integers(1, len(ones) + 1, 10_000):
             j = int(j)
             p = int(ones[j - 1])
@@ -232,9 +234,9 @@ def test_criterion_1_oracle_suite():
 
     # randomized: wavelet trees at n = 10^5
     seq = rng.integers(0, 300, n)
-    wt = WaveletTree(seq, sigma=300, backend="rrr")
+    wt = WaveletTree(seq, sigma=300)
     seq8 = rng.integers(0, 256, n).astype(np.uint8)
-    wth = WaveletTreeHuff(seq8, backend="plain")
+    wth = WaveletTreeHuff(seq8)
     for arr, tree in ((seq, wt), (seq8.astype(np.int64), wth)):
         pos = _positions_oracle(arr)
         for i in rng.integers(0, n, 10_000):
@@ -443,14 +445,20 @@ def test_criterion_5_space_budgets(tmp_path):
     rank_overhead = rs.serialized_bytes() / (n / 8)
     assert rank_overhead <= RANK_MAX_OVERHEAD
 
-    # skewed document ids compress under the RRR backend
+    # skewed document ids compress under RRR levels: the same wavelet
+    # with each level's bits as a plain bitmap with rank is larger
     n_docs = 1000
     ranks = np.arange(1, n_docs + 1, dtype=np.float64)
     probs = (1.0 / ranks**1.3) / (1.0 / ranks**1.3).sum()
     doc_ids = rng.choice(n_docs, size=n, p=probs).astype(np.int64)
-    wt_rrr = WaveletTree(doc_ids, sigma=n_docs, backend="rrr")
-    wt_plain = WaveletTree(doc_ids, sigma=n_docs, backend="plain")
-    assert wt_rrr.serialized_bytes() < wt_plain.serialized_bytes()
+    wt = WaveletTree(doc_ids, sigma=n_docs)
+    rrr_bytes = wt.serialized_bytes()
+    plain_bytes = rrr_bytes + sum(
+        BackedBits(BitVector(bv.to_bool())).serialized_bytes()
+        - bv.serialized_bytes()
+        for bv in wt.levels
+    )
+    assert rrr_bytes < plain_bytes
 
     _, coll = _corpus(100, 64, "byte", 120, seed=55)
     for algo in ALGOS:
@@ -462,7 +470,7 @@ def test_criterion_5_space_budgets(tmp_path):
     print(
         f"criterion 5: rmq {bits_per_elem:.2f} bits/elem,"
         f" rank overhead {rank_overhead * 100:.1f}%,"
-        f" rrr/plain {wt_rrr.serialized_bytes() / wt_plain.serialized_bytes():.3f}"
+        f" rrr/plain {rrr_bytes / plain_bytes:.3f}"
     )
 
 
@@ -541,10 +549,9 @@ def test_criterion_7_serialization_roundtrip(tmp_path):
         assert sd.rank(int(i)) == int(pref[i])
 
     seq = rng.integers(0, 500, n)
-    for backend in ("plain", "rrr"):
-        wt = _roundtrip(WaveletTree(seq, sigma=500, backend=backend), WaveletTree)
-        for i in rng.integers(0, n, 300):
-            assert wt.access(int(i)) == int(seq[i])
+    wt = _roundtrip(WaveletTree(seq, sigma=500), WaveletTree)
+    for i in rng.integers(0, n, 300):
+        assert wt.access(int(i)) == int(seq[i])
     seq8 = rng.integers(0, 200, n).astype(np.uint8)
     wth = _roundtrip(WaveletTreeHuff(seq8), WaveletTreeHuff)
     for i in rng.integers(0, n, 300):
@@ -611,9 +618,9 @@ def test_criterion_8_sampling_invariance():
 
     rates = (1, 4, 32, n)
     psis = {r: CsaPsi.build(text_iv, sa_iv, coll.sigma_total, r) for r in rates}
-    # CsaWt over a plain-bit BWT wavelet, built part by part
+    # CsaWt over one BWT wavelet, built part by part
     bwt = bwt_from_sa(text_iv, sa_iv).to_numpy()
-    wt = WaveletTreeHuff(bwt, sigma=coll.sigma_total, backend="plain")
+    wt = WaveletTreeHuff(bwt, sigma=coll.sigma_total)
     wts = {r: CsaWt(wt, SaSamples.build(sa_iv, r), n) for r in rates}
 
     rows = rng.integers(0, n, 3_000)
@@ -646,7 +653,7 @@ def test_criterion_8_sampling_invariance():
     docs, dcoll = _corpus(300, 64, "byte", 330, seed=88)
     default_rate = min(1 << 20, dcoll.n)
     assert default_rate == dcoll.n
-    coarse = build_greedy(dcoll, sample_rate=None)
+    coarse = build_greedy(dcoll)
     assert coarse.csa.samples.rate == default_rate
     fine = build_greedy(dcoll, sample_rate=4)
     pats = _distinct_patterns(dcoll, range(1, 7), 100, seed0=8_800)

@@ -384,6 +384,7 @@ class TestBackedBits:
     @pytest.mark.parametrize("patch", [
         "lane over its sub-blocks", "falling lane", "lane 4 over the ones",
         "falling absolute count", "absolute count rising past 2048",
+        "guard bit set", "bit 63 set", "bit 60 set",
     ])
     def test_impossible_rank_counts_raise_format_error(self, patch):
         """Each impossible count in a stored rank directory fails the load
@@ -400,10 +401,10 @@ class TestBackedBits:
         abs_counts, rel = words[0::2], words[1::2]
 
         def lane(s, k):
-            return int(rel[s]) >> 11 * k & 0x7FF
+            return int(rel[s]) >> 12 * k & 0xFFF
 
         def set_lane(s, k, value):
-            rel[s] = int(rel[s]) & ~(0x7FF << 11 * k) | value << 11 * k
+            rel[s] = int(rel[s]) & ~(0xFFF << 12 * k) | value << 12 * k
 
         if patch == "lane over its sub-blocks":
             set_lane(3, 0, 2000)
@@ -411,6 +412,10 @@ class TestBackedBits:
             set_lane(1, 2, lane(1, 1) - 1)
         elif patch == "lane 4 over the ones":
             set_lane(5, 4, int(abs_counts[6] - abs_counts[5]) + 1)
+        elif patch == "guard bit set":
+            set_lane(2, 3, lane(2, 3) | 1 << 11)
+        elif patch.startswith("bit 6"):
+            rel[4] = int(rel[4]) | 1 << int(patch[4:6])
         elif patch == "falling absolute count":
             abs_counts[4] = abs_counts[3] - 1
         else:

@@ -17,8 +17,6 @@ from succix.compressed import (
     BLOCK,
     RRRVector,
     SDVector,
-    make_bits,
-    read_bits,
 )
 
 
@@ -77,6 +75,12 @@ class TestRRRVector:
                     assert rv.rank(i) == oracles.rank(bits, i)
                 for i in range(n):
                     assert rv.access(i) == int(bits[i])
+                    assert rv.rank_if_set(i) == (
+                        oracles.rank(bits, i) if bits[i] else None
+                    )
+                for i in (-1, n):
+                    with pytest.raises(IndexError):
+                        rv.rank_if_set(i)
 
     @pytest.mark.parametrize("density", [0.04, 0.5])
     def test_randomized_large(self, density):
@@ -97,9 +101,9 @@ class TestRRRVector:
             rv.select(len(ones) + 1)
 
     def test_superblock_edges(self):
-        """rank/access within 2 of every block (and so superblock) edge,
-        and select/select0 around every class change, over runs of empty
-        and full blocks, built and reloaded."""
+        """rank/access/rank_if_set within 2 of every block (and so
+        superblock) edge, and select/select0 around every class change,
+        over runs of empty and full blocks, built and reloaded."""
         t = BLOCK
         rng = np.random.default_rng(t)
         sb = RRRVector.SB_BLOCKS * t
@@ -132,6 +136,9 @@ class TestRRRVector:
             assert np.array_equal([rv.rank(int(i)) for i in ranks], cum[ranks])
             reads = ranks[ranks < n]
             assert np.array_equal([rv.access(int(i)) for i in reads], bits[reads])
+            assert [rv.rank_if_set(int(i)) for i in reads] == [
+                int(cum[i]) if bits[i] else None for i in reads
+            ]
             for value, sel in ((1, rv.select), (0, rv.select0)):
                 pos = np.flatnonzero(bits if value else ~bits)
                 before = cum[change * t] if value else change * t - cum[change * t]
@@ -260,6 +267,26 @@ class TestRRRVector:
         bad.offsets = IntVector(np.concatenate([head, field]).astype(np.uint64), 1)
         with pytest.raises(serialize.FormatError, match="padding"):
             RRRVector.deserialize(io.BytesIO(_rrr_bytes(bad)))
+
+    def test_offset_past_its_class_raises_format_error(self):
+        """Three class-1 blocks with block 1's 4-bit offset set to 15, one
+        past C(15, 1) - 1: the file loads, as offsets are not checked at
+        load, but every decode of that block raises FormatError in place
+        of reading a class-2 block."""
+        rv = RRRVector(np.arange(45) % BLOCK == 0)
+        assert list(rv.classes) == [1, 1, 1] and _OFF_WIDTH[1] == 4
+        bad = copy.copy(rv)
+        bad.offsets = IntVector([0] * 4 + [1] * 4 + [0] * 4, 1)
+        back = RRRVector.deserialize(io.BytesIO(_rrr_bytes(bad)))
+        assert back.count_ones() == 3 and back.rank(30) == 2
+        assert back.access(0) == 1 and back.rank_if_set(30) == 2
+        for query in (
+            back.to_bool, lambda: back.rank(20), lambda: back.access(16),
+            lambda: back.select(2), lambda: back.select0(20),
+            lambda: back.rank_if_set(15), lambda: back.rank_if_set(16),
+        ):
+            with pytest.raises(serialize.FormatError, match="offset past class 1"):
+                query()
 
     def test_size_tree_matches_stream(self):
         rv = RRRVector(np.arange(4000) % 7 == 0)
@@ -415,22 +442,3 @@ class TestSDVector:
         with pytest.raises(serialize.FormatError):
             SDVector.deserialize(buf)
 
-
-class TestBackendFactory:
-    def test_round_trip_dispatch(self):
-        rng = np.random.default_rng(24)
-        bits = rng.random(4000) < 0.4
-        for kind in ("plain", "rrr"):
-            bb = make_bits(bits, kind, select1=True, select0=True)
-            assert bb.rank(1000) == oracles.rank(bits, 1000)
-            buf = io.BytesIO()
-            bb.serialize(buf)
-            buf.seek(0)
-            back = read_bits(buf)
-            assert back.rank(3999) == bb.rank(3999)
-            assert back.select(5) == oracles.select(bits, 5, 1)
-            assert back.select0(5) == oracles.select(bits, 5, 0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_bits([1, 0], "nope")

@@ -209,9 +209,8 @@ def test_csa_wt_rejects_counts_not_n():
         _reload_csa_wt(csa)
 
 
-@pytest.mark.parametrize("backend", ["plain", "rrr"])
 @pytest.mark.parametrize("shape", [WaveletTree, WaveletTreeHuff])
-def test_lf_is_one_access_rank_walk(shape, backend):
+def test_lf_is_one_access_rank_walk(shape):
     """lf(i) = cnt[c] + rank(i, c) for c = BWT[i], and it is the row of the
     suffix one position earlier, on every row."""
     rng = np.random.default_rng(78)
@@ -222,7 +221,7 @@ def test_lf_is_one_access_rank_walk(shape, backend):
     bwt = [text[p - 1] for p in sa]
     sa_iv = IntVector(sa, width_for(n - 1))
     samples = CsaWt.build(IntVector(text, width_for(39)), sa_iv, 40, 8).samples
-    csa = CsaWt(shape(bwt, sigma=40, backend=backend), samples, n)
+    csa = CsaWt(shape(bwt, sigma=40), samples, n)
     for i in range(n):
         c = csa.wt.access(i)
         assert c == bwt[i]

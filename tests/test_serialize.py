@@ -140,7 +140,7 @@ def _small_structures():
         ),
         (
             "WaveletTree",
-            WaveletTree(rng.integers(0, 300, 2000), backend="rrr"),
+            WaveletTree(rng.integers(0, 300, 2000)),
             own(WaveletTree),
         ),
         (
@@ -198,12 +198,12 @@ def test_frame_sizes_agree_and_reload_is_byte_identical(obj, reader):
     assert again.getvalue() == data
 
 
-# Files written by version 6 of this format for the worked example
+# Files written by version 7 of this format for the worked example
 # (default build options); a layout change must bump FORMAT_VERSION.
 EXAMPLE_INDEX_SHA256 = {
-    "sada": "318e2447e44cc06254679497faa537d81527ebc6db5ccb41dd8c1bf8a55479e5",
-    "greedy": "d76b051aa6ee9c3d84c29c78538bb00ca35afe625e7c0abc2616c20735d8779c",
-    "sort": "e3c078fa340389f705a424ae6f31f44695ff71d835527d6ac9a2889336d12d14",
+    "sada": "47afe290df4d513c5c1d45829d28fcd010686cd137f3751f969fb8f481f0f9e0",
+    "greedy": "3f02ca9e5496811115ac80e72d21d861196907a8137903d645aa41e8d4883dc5",
+    "sort": "481b8a856835fc4e9fc397f14ce65a67383d07c3396f83158cb41858fd92864e",
 }
 
 
@@ -262,6 +262,15 @@ def test_format_5_files_raise_format_error(algo):
     bytes must not load."""
     with pytest.raises(serialize.FormatError, match="version 5"):
         read_index(io.BytesIO(_with_version(algo, 5)))
+
+
+@pytest.mark.parametrize("algo", ["sada", "greedy", "sort"])
+def test_format_6_files_raise_format_error(algo):
+    """Format 6 stored a backend byte in every wavelet frame and the rank
+    directory's sub-block counts as 11-bit lanes, so a file with its
+    version bytes must not load."""
+    with pytest.raises(serialize.FormatError, match="version 6"):
+        read_index(io.BytesIO(_with_version(algo, 6)))
 
 
 def _small_indexes(rng):

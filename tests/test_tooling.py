@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import io
 import os
@@ -146,6 +147,23 @@ def test_bench_rows_and_cutoff():
     assert lines[0] == "pattern_length\tcount\tavg_us\tmax_us\tomitted"
     assert len(lines) == 4
     assert lines[1].split("\t")[0] == "1"
+
+
+def test_only_compressed_imports_its_private_names():
+    """The RRR block tables and layout stay inside compressed.py: no other
+    module of the package imports a name of it that starts with an
+    underscore."""
+    found = [
+        (path.name, alias.name)
+        for path in sorted((ROOT / "src" / "succix").glob("*.py"))
+        if path.name != "compressed.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").rpartition(".")[2] == "compressed"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
 
 
 def _load_spans():

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from succix.bits import IntVector
-from succix.compressed import RRRVector, make_bits
+from succix.compressed import RRRVector
 from succix.serialize import HEADER_BYTES, FormatError
 from succix.wavelet import WaveletTree, WaveletTreeHuff, huffman_lengths
 
@@ -56,9 +56,8 @@ class TestBalanced:
         for level in range(wt.height):
             assert wt_level_bits(wt, level) == expect[level]
 
-    @pytest.mark.parametrize("backend", ["plain", "rrr"])
     @pytest.mark.parametrize("sigma", [1, 2, 256, 257, 65536, 65537])
-    def test_levels_at_key_dtype_boundaries(self, backend, sigma):
+    def test_levels_at_key_dtype_boundaries(self, sigma):
         # level keys narrow to 8 or 16 bits where the symbols allow; runs of
         # the top symbols tie on every level's key
         rng = np.random.default_rng(sigma)
@@ -66,18 +65,17 @@ class TestBalanced:
         seq = rng.permutation(np.concatenate([
             rng.integers(0, sigma, size=150), top, [0, sigma - 1],
         ]))
-        wt = WaveletTree(seq, sigma=sigma, backend=backend)
+        wt = WaveletTree(seq, sigma=sigma)
         expect = oracles.wavelet_levels(seq.tolist(), wt.height)
         for level in range(wt.height):
             assert wt_level_bits(wt, level) == expect[level]
         assert [wt.access(i) for i in range(len(seq))] == seq.tolist()
 
-    @pytest.mark.parametrize("backend", ["plain", "rrr"])
     @pytest.mark.parametrize("sigma", [1, 2, 3, 16, 100])
-    def test_randomized_ops(self, backend, sigma):
+    def test_randomized_ops(self, sigma):
         rng = np.random.default_rng(sigma)
         seq = rng.integers(0, sigma, size=800)
-        wt = WaveletTree(seq, backend=backend)
+        wt = WaveletTree(seq)
         assert wt.sigma >= int(seq.max()) + 1
         for i in rng.integers(0, 800, size=60):
             assert wt.access(int(i)) == int(seq[i])
@@ -117,7 +115,7 @@ class TestBalanced:
     def test_expand_reaches_every_symbol_count(self):
         rng = np.random.default_rng(40)
         seq = rng.integers(0, 13, size=400)
-        wt = WaveletTree(seq, backend="rrr")
+        wt = WaveletTree(seq)
         lo, hi = 37, 311
         counts = {}
         stack = [(wt.root(), lo, hi)]
@@ -136,7 +134,7 @@ class TestBalanced:
         access one bit rank and one bit access per level."""
         rng = np.random.default_rng(39)
         seq = rng.integers(0, 50, size=3000)
-        wt = WaveletTree(seq, backend="rrr")
+        wt = WaveletTree(seq)
         calls = {"rank": 0, "access": 0}
         for name in calls:
             def counted(self, i, _method=getattr(RRRVector, name), _name=name):
@@ -175,27 +173,21 @@ class TestBalanced:
         with pytest.raises(ValueError):
             WaveletTree([-1])
 
-    @pytest.mark.parametrize("backend", ["plain", "rrr"])
-    def test_round_trip(self, backend):
+    def test_round_trip(self):
         rng = np.random.default_rng(34)
         seq = rng.integers(0, 23, size=500)
-        wt = WaveletTree(seq, backend=backend)
+        wt = WaveletTree(seq)
         buf = io.BytesIO()
         written = wt.serialize(buf)
         assert written == wt.serialized_bytes() == len(buf.getvalue())
         buf.seek(0)
         wt2 = WaveletTree.deserialize(buf)
-        assert wt2.sigma == wt.sigma and wt2.backend == backend
+        assert wt2.sigma == wt.sigma
+        assert all(isinstance(bv, RRRVector) for bv in wt2.levels)
         assert [wt2.access(i) for i in range(0, 500, 17)] == [
             wt.access(i) for i in range(0, 500, 17)
         ]
         assert wt2.rank(400, 5) == wt.rank(400, 5)
-
-    def test_rejects_unknown_backend_byte(self):
-        wt = WaveletTree(np.arange(40) % 6)
-        # the backend id is the first fixed byte after the header
-        with pytest.raises(FormatError):
-            reload(wt, {HEADER_BYTES: 7})
 
     def test_rejects_height_not_matching_sigma(self):
         wt = WaveletTree(np.arange(40) % 6, sigma=8)
@@ -204,10 +196,9 @@ class TestBalanced:
         with pytest.raises(FormatError):
             reload(wt)
 
-    @pytest.mark.parametrize("backend", ["plain", "rrr"])
-    def test_rejects_level_not_n(self, backend):
-        wt = WaveletTree(np.arange(40) % 6, backend=backend)
-        wt.levels[-1] = make_bits(np.zeros(39, dtype=bool), backend)
+    def test_rejects_level_not_n(self):
+        wt = WaveletTree(np.arange(40) % 6)
+        wt.levels[-1] = RRRVector(np.zeros(39, dtype=bool))
         with pytest.raises(FormatError):
             reload(wt)
 
@@ -264,12 +255,11 @@ class TestHuffmanCodes:
 
 
 class TestHuffShaped:
-    @pytest.mark.parametrize("backend", ["plain", "rrr"])
-    def test_matches_plain_counting(self, backend):
+    def test_matches_plain_counting(self):
         rng = np.random.default_rng(36)
         # skewed byte distribution
         seq = rng.choice([65, 66, 67, 100, 200], size=900, p=[0.5, 0.25, 0.12, 0.08, 0.05])
-        wt = WaveletTreeHuff(seq, backend=backend)
+        wt = WaveletTreeHuff(seq)
         assert wt.sigma == 201 and np.count_nonzero(wt.lengths) == 5
         for i in rng.integers(0, 900, size=60):
             assert wt.access(int(i)) == int(seq[i])
@@ -315,11 +305,6 @@ class TestHuffShaped:
         buf2 = io.BytesIO()
         wt2.serialize(buf2)
         assert buf2.getvalue() == buf.getvalue()
-
-    def test_rejects_unknown_backend_byte(self):
-        wt = WaveletTreeHuff(np.arange(40) % 6)
-        with pytest.raises(FormatError):
-            reload(wt, {HEADER_BYTES: 7})
 
     def test_rejects_root_not_n(self):
         wt = WaveletTreeHuff(np.arange(40) % 6)
@@ -368,15 +353,15 @@ class TestHuffShaped:
         last = wt.height - 1
         assert 0 < len(wt.levels[last]) < wt.n
         # one bit short of the elements whose code reaches the last level
-        short = make_bits(wt.levels[last].bits.to_numpy()[:-1].astype(bool))
+        short = RRRVector(wt.levels[last].to_bool()[:-1])
         with pytest.raises(FormatError, match="level"):
             reload(wt, **{f"level{last}": short})
 
     def test_rejects_table_longer_than_sigma(self):
         wt = WaveletTreeHuff(np.arange(40) % 6)
-        # sigma is the u64 after the backend byte
+        # sigma is the u64 after the header
         with pytest.raises(FormatError, match="sigma"):
-            reload(wt, {HEADER_BYTES + 1: wt.sigma - 1})
+            reload(wt, {HEADER_BYTES: wt.sigma - 1})
 
 
 def _random_lengths(rng, n_leaves):
@@ -401,8 +386,7 @@ class TestSharedCore:
     """The matrix both shapes share, over complete code length sets given
     directly (in place of the Huffman lengths of the counts)."""
 
-    @pytest.mark.parametrize("backend", ["plain", "rrr"])
-    def test_property_over_length_sets(self, backend, monkeypatch):
+    def test_property_over_length_sets(self, monkeypatch):
         rng = np.random.default_rng(42)
         for name, depths in _length_sets(rng):
             # symbols spread over [0, 5000), most of them above 255
@@ -415,7 +399,7 @@ class TestSharedCore:
             monkeypatch.setattr(
                 WaveletTreeHuff, "_lengths", staticmethod(lambda _: lengths)
             )
-            wt = WaveletTreeHuff(seq, sigma=5000, backend=backend)
+            wt = WaveletTreeHuff(seq, sigma=5000)
             assert np.array_equal(wt.lengths, lengths), name
             self._check_prefix_free(wt, symbols)
             self._check_levels(wt, seq)
@@ -466,7 +450,7 @@ class TestSharedCore:
     def test_rank_takes_one_bit_rank_per_code_bit(self, shape, monkeypatch):
         rng = np.random.default_rng(43)
         seq = rng.choice(300, size=3000, p=_zipf_probs(300))
-        wt = shape(seq, sigma=300, backend="rrr")
+        wt = shape(seq, sigma=300)
         calls = []
         rank = RRRVector.rank
         monkeypatch.setattr(
