@@ -236,9 +236,25 @@ class RRRVector(serialize.Framed):
         return self._select_generic(j, 0)
 
     def to_bool(self):
-        values = np.array(
-            [self._block_value(b) for b in range(self.nblocks)], dtype=np.uint16
-        )
+        """Every bit, with all blocks decoded by numpy at once; an offset
+        at or past C(15, c) raises FormatError as in _block_value."""
+        classes = np.frombuffer(self.classes, dtype=np.uint8)
+        widths = _OFF_WIDTH[classes]
+        starts = np.cumsum(widths) - widths
+        first = np.asarray(_DEC15_START)
+        k = first[classes]
+        # classes 0 and 15 have a 0-bit offset, which gather_fields can't read
+        coded = widths > 0
+        k[coded] += gather_fields(
+            self.offsets.words, starts[coded], widths[coded]
+        ).astype(np.int64)
+        past = np.flatnonzero(k >= first[classes + 1])
+        if len(past):
+            b = int(past[0])
+            raise serialize.FormatError(
+                f"RRR block {b} has an offset past class {classes[b]}"
+            )
+        values = np.asarray(_DEC15)[k]
         bits = (values[:, None] >> np.arange(BLOCK, dtype=np.uint16)) & 1
         return bits.ravel()[: self.n].astype(bool)
 

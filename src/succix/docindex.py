@@ -14,7 +14,12 @@ count with document id breaking ties.
   the number of reported documents.
 * GreedyIndex walks a wavelet tree over the document array with a
   max-heap on interval size, emitting documents best-first and stopping
-  after k, without touching the rest.
+  after k, without touching the rest. No walk goes further than its
+  answer needs: a popped node that holds one row finds its document in
+  one walk down from its level instead of expanding level by level;
+  count_distinct counts a one-row node as one document; and under tfidf
+  a loop that empties the heap has listed every document, so df is their
+  number and count_distinct runs only when k stops the loop first.
 * SortIndex keeps the document array packed verbatim and aggregates the
   query interval with a counting pass; simplest, fastest to build, and
   the baseline the other two are checked against.
@@ -243,16 +248,24 @@ class GreedyIndex(_IndexBase):
             neg, _, node, qlo, qhi = heapq.heappop(heap)
             if wt.is_leaf(node):
                 doc = wt.node_symbol_range(node)[0]
-                if doc < self.n_docs:
-                    pairs.append((doc, -neg))
+            elif neg == -1:
+                # one row: walk it from the node's level (node[0]) to its
+                # document. Heap nodes cover disjoint symbol ranges, so
+                # ordering one-row nodes by their lowest symbol orders them
+                # by the document they resolve to: ties stay doc-ascending
+                doc = wt.descend(node[0], qlo)[0]
+            else:
+                for child, clo, chi in wt.expand(node, qlo, qhi):
+                    if chi > clo:
+                        lo_sym = wt.node_symbol_range(child)[0]
+                        heapq.heappush(
+                            heap, (-(chi - clo), lo_sym, child, clo, chi)
+                        )
                 continue
-            for child, clo, chi in wt.expand(node, qlo, qhi):
-                if chi > clo:
-                    lo_sym = wt.node_symbol_range(child)[0]
-                    heapq.heappush(
-                        heap, (-(chi - clo), lo_sym, child, clo, chi)
-                    )
-        df = self._df_interval(sp, ep) if ranking == "tfidf" else len(pairs)
+            if doc < self.n_docs:
+                pairs.append((doc, -neg))
+        # a loop that emptied the heap has listed every document
+        df = self._df_interval(sp, ep) if ranking == "tfidf" and heap else len(pairs)
         return _score_hits(pairs, k, ranking, self.n_docs, df)
 
     def _df_interval(self, sp, ep):

@@ -135,7 +135,14 @@ class _WaveletMatrix(serialize.Framed):
         i = int(i)
         if not 0 <= i < self.n:
             raise IndexError("index out of range")
-        for bv, z, below in self._walk:
+        return self.descend(0, i)
+
+    def descend(self, level, i):
+        """(c, the count of c before position i on `level`) for the element
+        c at position i of `level`, walking one bit access and one bit rank
+        per level to the end of c's code. From level 0 this is
+        access_rank(i); from a node's level, i anywhere in the node's run."""
+        for bv, z, below in self._walk[level:]:
             if bv.access(i):
                 i = z + bv.rank(i)
             else:
@@ -258,7 +265,9 @@ class WaveletTree(_WaveletMatrix):
         )
 
     def count_distinct(self, qlo, qhi):
-        """Number of distinct symbols in positions [qlo, qhi)."""
+        """Number of distinct symbols in positions [qlo, qhi): the leaves
+        the interval reaches. A node whose interval holds one row holds one
+        symbol, so it counts one and is not expanded."""
         if qlo >= qhi:
             return 0
         total = 0
@@ -267,7 +276,7 @@ class WaveletTree(_WaveletMatrix):
             node, lo, hi = stack.pop()
             if lo >= hi:
                 continue
-            if self.is_leaf(node):
+            if hi - lo == 1 or self.is_leaf(node):
                 total += 1
                 continue
             left, right = self.expand(node, lo, hi)

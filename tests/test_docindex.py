@@ -379,3 +379,84 @@ def test_wide_skewed_word_corpus_every_composition(tmp_path):
                 assert got == sort.query(pattern, 5, ranking)
                 assert [(h.doc, h.tf) for h in got] == expected[:5]
             assert back.df(pattern) == len(expected)
+
+
+def test_greedy_tfidf_below_df_matches_sort():
+    """Greedy under tfidf at k = 1 and 10, over either CSA, on patterns
+    with df below and above k: when the top k stop before the heap empties,
+    df comes from count_distinct, and the scores still equal sort's."""
+    rng = np.random.default_rng(2121)
+    docs = random_docs(rng, 40, 40)
+    coll = Collection(docs, ByteAlphabet.from_docs(docs))
+    sort = build_sort(coll)
+    greedy = build_greedy(coll)
+    patterns = [b"a", b"ab", b"cab", b"abca", b"bcabc", b"aabcb"]
+    indexes = [GreedyIndex(csa, coll.alphabet, coll.n_docs, greedy.doc_wt)
+               for csa in (build_sada(coll).csa, sort.csa)]
+    calls = []
+    for index in indexes:
+        df_interval = index._df_interval
+        index._df_interval = lambda sp, ep, f=df_interval: calls.append(1) or f(sp, ep)
+    cases = set()
+    for pattern in patterns:
+        expected = naive_pairs(docs, pattern)
+        df = len(expected)
+        for k in (1, 10):
+            cases.add((k, df > k))
+            want = sort.query(pattern, k, ranking="tfidf")
+            for index in indexes:
+                del calls[:]
+                got = index.query(pattern, k, ranking="tfidf")
+                assert got == want, (pattern, k)
+                assert [(h.doc, h.tf) for h in got] == expected[:k]
+                assert len(calls) == (df > k)
+    assert cases == {(1, True), (1, False), (10, True), (10, False)}
+
+
+def test_greedy_ties_among_one_row_nodes():
+    """24 documents hold the pattern once, others two or three times or
+    not at all: every k, including each one that cuts the tie group of
+    one-occurrence documents, lists the same documents as sort and a naive
+    scan, and the one-row walk is taken."""
+    rng = np.random.default_rng(2122)
+    tfs = rng.permutation([1] * 24 + [2] * 5 + [3] * 3 + [0] * 8).tolist()
+    docs = []
+    for tf in tfs:
+        parts = [bytes(rng.choice(list(b"ab"), size=int(rng.integers(1, 8))))
+                 for _ in range(tf + 1)]
+        docs.append(b"x".join(parts))
+    coll = Collection(docs, ByteAlphabet.from_docs(docs))
+    greedy, sort = build_greedy(coll), build_sort(coll)
+    expected = naive_pairs(docs, b"x")
+    assert sum(tf == 1 for _, tf in expected) == 24
+    walks = []
+    descend = greedy.doc_wt.descend
+    greedy.doc_wt.descend = lambda *a: walks.append(a) or descend(*a)
+    for k in range(1, coll.n_docs + 1):
+        for ranking in ("freq", "tfidf"):
+            got = greedy.query(b"x", k, ranking)
+            assert got == sort.query(b"x", k, ranking), k
+            assert [(h.doc, h.tf) for h in got] == expected[:k]
+    assert walks
+
+
+def test_greedy_df_matches_sort_at_every_interval_width():
+    """df over rows [sp, ep] of width 0, 1 and 2, the whole suffix array
+    (row 0 holds the separator symbol n_docs) and random intervals, with
+    n_docs + 1 = 12 symbols, not a power of two; and df of patterns."""
+    rng = np.random.default_rng(2123)
+    docs = random_docs(rng, 11, 30)
+    coll = Collection(docs, ByteAlphabet.from_docs(docs))
+    greedy, sort = build_greedy(coll), build_sort(coll)
+    assert greedy.doc_wt.sigma == 12
+    n = greedy.n
+    intervals = [(0, n - 1), (1, n - 1), (0, 0)]
+    intervals += [(i, i + w - 1) for w in (0, 1, 2) for i in range(n - w + 1)]
+    intervals += [sorted(rng.integers(0, n, size=2)) for _ in range(100)]
+    for sp, ep in intervals:
+        assert greedy._df_interval(sp, ep) == sort._df_interval(sp, ep), (sp, ep)
+    assert greedy._df_interval(0, n - 1) == coll.n_docs
+    for pattern in (b"a", b"b", b"ab", b"cba", b"abcab", b"zz"):
+        assert greedy.df(pattern) == sort.df(pattern) == len(
+            naive_pairs(docs, pattern)
+        )

@@ -90,14 +90,49 @@ class TestBalanced:
                     assert wt.select(j, c) == int(positions[j - 1])
 
     def test_count_distinct_matches_sets(self):
+        """Intervals of width 0, 1 and 2 (one-row nodes appear from the
+        root on), the whole sequence and random ones, over alphabets that
+        are and are not a power of two; the top symbol plays the document
+        array's separator, n_docs, which holds one row."""
         rng = np.random.default_rng(32)
-        seq = rng.integers(0, 9, size=300)
-        wt = WaveletTree(seq)
-        for _ in range(50):
-            lo, hi = sorted(rng.integers(0, 301, size=2))
-            assert wt.count_distinct(int(lo), int(hi)) == len(
-                set(seq[lo:hi].tolist())
-            )
+        for sigma in (9, 11, 16):
+            seq = rng.integers(0, sigma - 1, size=300)
+            seq[int(rng.integers(0, 300))] = sigma - 1
+            wt = WaveletTree(seq, sigma=sigma)
+            n = len(seq)
+            intervals = [(0, 0), (n, n), (0, n), (1, n), (0, n - 1)]
+            intervals += [(i, i + w) for w in (0, 1, 2) for i in range(n - w + 1)]
+            intervals += [sorted(rng.integers(0, n + 1, size=2)) for _ in range(50)]
+            for lo, hi in intervals:
+                assert wt.count_distinct(int(lo), int(hi)) == len(
+                    set(seq[lo:hi].tolist())
+                ), (sigma, lo, hi)
+
+    @pytest.mark.parametrize("sigma", [2, 5, 11, 16])
+    def test_descend_from_every_node_matches_access(self, sigma):
+        """The level walk started at any inner node's level and any
+        position of the node's run gives what access_rank gives for the
+        same element: its symbol and its rank. (A leaf is below the last
+        level; it has no level to walk.)"""
+        rng = np.random.default_rng(41 + sigma)
+        seq = rng.integers(0, sigma, size=200)
+        wt = WaveletTree(seq, sigma=sigma)
+        stack = [(wt.root(), 0, len(seq))]
+        nodes = 0
+        while stack:
+            node, lo, hi = stack.pop()
+            if wt.is_leaf(node):
+                continue
+            sym_lo, sym_hi = wt.node_symbol_range(node)
+            # the node's run holds its symbols' elements in sequence order
+            orig = np.flatnonzero((seq >= sym_lo) & (seq < sym_hi))
+            assert len(orig) == hi - lo
+            for t, i in enumerate(orig.tolist()):
+                assert wt.descend(node[0], lo + t) == wt.access_rank(i)
+                assert wt.access_rank(i)[0] == seq[i]
+            nodes += 1
+            stack.extend(wt.expand(node, lo, hi))
+        assert nodes == 2**wt.height - 1
 
     def test_expand_partitions_interval(self):
         rng = np.random.default_rng(33)
