@@ -7,10 +7,13 @@ colexicographic combinatorial numbering, so a block with one-bits at
 ascending positions p_1 < ... < p_c gets offset sum(C(p_i, i)). A
 vector is stored as its class bytes and its offset stream; the rank and
 offset pointer before each superblock are worked out from the classes.
+Both ends of an interval walk together: rank_pair(i, j) decodes a block
+the two ends share once, and access_rank(i) reads bit and rank from one.
 
 SDVector is an Elias-Fano encoding of a sorted integer multiset: each
 value splits into a low part of fixed width and a high part stored in
-unary in a plain bitvector with rank/select support.
+unary in a plain bitvector with rank/select support. rank_pair(i, j, l)
+makes one select0 and one scan for two ends in one bucket.
 """
 
 import bisect
@@ -157,29 +160,54 @@ class RRRVector(serialize.Framed):
             raise serialize.FormatError(f"RRR block {b} has an offset past class {c}")
         return _DEC15[k]
 
-    def access(self, i):
-        i = int(i)
+    def _ones_before(self, b):
+        """Its superblock's rank plus the classes before block b."""
+        s = b >> 5
+        return self._ranks[s] + sum(self.classes[s << 5 : b])
+
+    def access_rank(self, i):
+        """(bit i, rank(i)) from one block decode."""
         if not 0 <= i < self.n:
             raise IndexError("bit index out of range")
         b, r = divmod(i, BLOCK)
-        return (self._block_value(b) >> r) & 1
+        v = self._block_value(b)
+        return v >> r & 1, self._ones_before(b) + (v & ((1 << r) - 1)).bit_count()
+
+    def access(self, i):
+        return self.access_rank(i)[0]
 
     def __getitem__(self, i):
         return self.access(i)
 
     def rank(self, i):
         """Number of one-bits in [0, i)."""
-        i = int(i)
         if i <= 0:
             return 0
         if i >= self.n:
             return self.total_ones
         b, r = divmod(i, BLOCK)
-        s = b >> 5
-        total = self._ranks[s] + sum(self.classes[s << 5 : b])
+        total = self._ones_before(b)
         if r:
             total += (self._block_value(b) & ((1 << r) - 1)).bit_count()
         return total
+
+    def rank_pair(self, i, j):
+        """(rank(i), rank(j)) for i <= j. Both ends in one superblock sum
+        its class bytes once, and both in one block decode it once."""
+        b, r = divmod(i, BLOCK)
+        b2, r2 = divmod(j, BLOCK)
+        if i <= 0 or j >= self.n or b >> 5 != b2 >> 5:
+            return self.rank(i), self.rank(j)
+        lo = self._ones_before(b)
+        hi = lo if b == b2 else lo + sum(self.classes[b:b2])
+        if r:
+            v = self._block_value(b)
+            lo += (v & ((1 << r) - 1)).bit_count()
+        if r2:
+            if b2 != b or not r:
+                v = self._block_value(b2)
+            hi += (v & ((1 << r2) - 1)).bit_count()
+        return lo, hi
 
     def rank_if_set(self, i):
         """rank(i) if bit i is set, else None. A bit in a class-0 block
@@ -188,15 +216,12 @@ class RRRVector(serialize.Framed):
         if not 0 <= i < self.n:
             raise IndexError("bit index out of range")
         b, r = divmod(i, BLOCK)
-        classes = self.classes
-        if not classes[b]:
+        if not self.classes[b]:
             return None
         v = self._block_value(b)
         if not v >> r & 1:
             return None
-        s = b >> 5
-        before = self._ranks[s] + sum(classes[s << 5 : b])
-        return before + (v & ((1 << r) - 1)).bit_count()
+        return self._ones_before(b) + (v & ((1 << r) - 1)).bit_count()
 
     def rank0(self, i):
         i = max(0, min(int(i), self.n))
@@ -394,36 +419,52 @@ class SDVector(serialize.Framed):
             low |= low_words[(lo >> 6) + 1] << (64 - sh)
         return ((p - j + 1) << w) | (low & ((1 << w) - 1))
 
-    def rank_access(self, i, l=0):
-        """(rank(i, l), access(i, l)) from one scan of i's bucket."""
-        i = int(i)
+    def _scan(self, i, j, l):
+        """(rank(i, l), rank(j, l), access(j, l)) for 0 <= i <= j <
+        universe in one bucket, from one select0 and one scan of it."""
         bounds = self.bounds
         first = bounds[l]
         m = bounds[l + 1] - first
-        if i < 0 or m == 0:
-            return 0, 0
-        if i >= self.universe:
-            return m, 0
         w = self.low_widths[l]
         hi = self._hi_offs[l]
-        b = i >> w
+        b = j >> w
         # the b-th zero of list l ends its values below b << w
-        j = self._select0.select(hi - first + b) - hi - b + 1 if b else 0
+        k = self._select0.select(hi - first + b) - hi - b + 1 if b else 0
         mask = (1 << w) - 1
-        low_i = i & mask
+        low_i, low_j = i & mask, j & mask
         high_words = self._high_words
         low_words = self._low_words
-        pos, lo = hi + b + j, self._low_offs[l] + j * w
-        while j < m and (high_words[pos >> 6] >> (pos & 63)) & 1:
+        pos, lo = hi + b + k, self._low_offs[l] + k * w
+        rank_i = k
+        while k < m and (high_words[pos >> 6] >> (pos & 63)) & 1:
             sh = lo & 63
             low = low_words[lo >> 6] >> sh
             if sh + w > 64:
                 low |= low_words[(lo >> 6) + 1] << (64 - sh)
             low &= mask
-            if low >= low_i:
-                return j, int(low == low_i)
-            j, pos, lo = j + 1, pos + 1, lo + w
-        return j, 0
+            if low < low_i:
+                rank_i = k + 1
+            if low >= low_j:
+                return rank_i, k, int(low == low_j)
+            k, pos, lo = k + 1, pos + 1, lo + w
+        return rank_i, k, 0
+
+    def rank_access(self, i, l=0):
+        """(rank(i, l), access(i, l)) from one scan of i's bucket."""
+        i = int(i)
+        if i < 0:
+            return 0, 0
+        if i >= self.universe:
+            return self.bounds[l + 1] - self.bounds[l], 0
+        return self._scan(i, i, l)[1:]
+
+    def rank_pair(self, i, j, l=0):
+        """(rank(i, l), rank(j, l)) for i <= j, from one scan when both
+        fall in one bucket."""
+        w = self.low_widths[l]
+        if i < 0 or j >= self.universe or i >> w != j >> w:
+            return self.rank_access(i, l)[0], self.rank_access(j, l)[0]
+        return self._scan(i, j, l)[:2]
 
     def rank(self, i, l=0):
         """Number of values < i in list l."""

@@ -4,11 +4,12 @@ Two interchangeable flavors, both answering backward search, suffix
 array access through sampled values, and text extraction:
 
 * CsaPsi keeps one Elias-Fano list per symbol holding that symbol's
-  slice of the Psi permutation, all lists in one SDVector. Pattern
-  steps are two rank calls; text walks forward through Psi.
+  slice of the Psi permutation, all lists in one SDVector. A pattern
+  step is one paired rank; text walks forward through Psi.
 * CsaWt keeps a Huffman-shaped wavelet matrix over the BWT, whose
-  symbol counts give the CNT table. Pattern steps are two wavelet ranks;
-  text walks backward through LF, one wavelet walk per step.
+  symbol counts give the CNT table. A pattern step is one wavelet walk
+  that carries both interval ends; text walks backward through LF, one
+  wavelet walk per step.
 
 Suffix array samples are text-order marks (rows whose value is a
 multiple of the rate), so a walk meets a mark within `rate` steps. The
@@ -117,8 +118,8 @@ class CsaPsi(_CsaBase):
 
     def _interval_step(self, c, sp, ep):
         base = int(self.cnt[c])
-        rank = self.psi_lists.rank
-        return base + rank(sp, c), base + rank(ep + 1, c) - 1
+        lo, hi = self.psi_lists.rank_pair(sp, ep + 1, c)
+        return base + lo, base + hi - 1
 
     def sa_access(self, i):
         """SA[i], by walking Psi forward to a sampled row."""
@@ -193,7 +194,8 @@ class CsaWt(_CsaBase):
 
     def _interval_step(self, c, sp, ep):
         base = int(self.cnt[c])
-        return base + self.wt.rank(sp, c), base + self.wt.rank(ep + 1, c) - 1
+        lo, hi = self.wt.rank_pair(sp, ep + 1, c)
+        return base + lo, base + hi - 1
 
     def sa_access(self, i):
         """SA[i], by walking LF backward to a sampled row."""

@@ -269,19 +269,19 @@ class GreedyIndex(_IndexBase):
         return _score_hits(pairs, k, ranking, self.n_docs, df)
 
     def _df_interval(self, sp, ep):
-        distinct = self.doc_wt.count_distinct(sp, ep + 1)
-        if self.doc_wt.count(sp, ep + 1, self.n_docs):
-            distinct -= 1
-        return distinct
+        # only row 0, the global terminator's suffix, holds n_docs: take
+        # one off when [sp, ep] holds it
+        return self.doc_wt.count_distinct(sp, ep + 1) - (sp == 0 <= ep)
 
     @classmethod
     def deserialize(cls, f, n, n_docs):
         alphabet, csa = read_alphabet(f), read_csa(f)
         doc_wt = WaveletTree.deserialize(f)
-        # row 0 is the global terminator's suffix, in no document
+        # row 0 is the global terminator's suffix, in no document, and
+        # the only row that holds n_docs
         _expect(
             doc_wt.n == n > 0 and doc_wt.sigma == n_docs + 1
-            and doc_wt.access(0) == n_docs,
+            and doc_wt.access(0) == n_docs and doc_wt.counts[n_docs] == 1,
             "document wavelet tree",
         )
         return cls(csa, alphabet, n_docs, doc_wt)

@@ -9,8 +9,9 @@ elements whose code goes on. With z the zero count of level l, the
 element at position i moves to i - rank1(i) or to z + rank1(i). Every
 element of symbol c ends, after its last bit, in one run that starts at
 c's leaf start, and the elements before position i land at the front of
-that run: so rank(i, c) is one bit rank per level and a subtraction, and
-access(i) also yields rank(i, access(i)).
+that run: so rank(i, c) is one bit rank per level and a subtraction,
+both ends of an interval walk together (rank_pair), and access(i) also
+yields rank(i, access(i)).
 
 The shapes differ only in the per-symbol table of codes and lengths.
 WaveletTree gives every symbol of [0, sigma) its own value as a code of
@@ -112,22 +113,28 @@ class _WaveletMatrix(serialize.Framed):
     def rank(self, i, c):
         """Occurrences of symbol c in positions [0, i)."""
         i = int(i)
-        c = int(c)
-        if i <= 0 or not 0 <= c < self.sigma:
-            return 0
-        length = self._length[c]
+        return self.rank_pair(i, i, int(c))[0]
+
+    def rank_pair(self, i, j, c):
+        """(rank(i, c), rank(j, c)) for i <= j: both ends walk c's code
+        together, one paired bit rank per level."""
+        n = self.n
+        if not 0 <= i <= j <= n:
+            i, j = min(max(i, 0), n), min(max(j, 0), n)
+        length = self._length[c] if 0 <= c < self.sigma else 0
         if not length:
-            return 0
+            return 0, 0
         code = self._code[c]
-        i = min(i, self.n)
         for bv, z, _ in self._walk:
             length -= 1
+            ones_i, ones_j = bv.rank_pair(i, j)
             if code >> length & 1:
-                i = z + bv.rank(i)
+                i, j = z + ones_i, z + ones_j
             else:
-                i -= bv.rank(i)
+                i, j = i - ones_i, j - ones_j
             if not length:
-                return i - self._start[c]
+                start = self._start[c]
+                return i - start, j - start
 
     def access_rank(self, i):
         """(c, rank(i, c)) for the symbol c at position i, in one walk: the
@@ -139,14 +146,12 @@ class _WaveletMatrix(serialize.Framed):
 
     def descend(self, level, i):
         """(c, the count of c before position i on `level`) for the element
-        c at position i of `level`, walking one bit access and one bit rank
-        per level to the end of c's code. From level 0 this is
-        access_rank(i); from a node's level, i anywhere in the node's run."""
+        c at position i of `level`, walking one bit access_rank per level
+        to the end of c's code. From level 0 this is access_rank(i); from
+        a node's level, i anywhere in the node's run."""
         for bv, z, below in self._walk[level:]:
-            if bv.access(i):
-                i = z + bv.rank(i)
-            else:
-                i -= bv.rank(i)
+            bit, ones = bv.access_rank(i)
+            i = z + ones if bit else i - ones
             if i >= below:
                 k = bisect_right(self._run_starts, i) - 1
                 return self._run_syms[k], i - self._run_starts[k]
@@ -171,7 +176,10 @@ class _WaveletMatrix(serialize.Framed):
 
     def count(self, lo, hi, c):
         """Occurrences of c in [lo, hi)."""
-        return self.rank(hi, c) - self.rank(lo, c)
+        if lo >= hi:
+            return 0
+        below_lo, below_hi = self.rank_pair(int(lo), int(hi), int(c))
+        return below_hi - below_lo
 
     def _frame(self):
         table = [("counts", IntVector(self.counts, width_for(max(self.n, 1))))]
@@ -258,7 +266,7 @@ class WaveletTree(_WaveletMatrix):
         """
         depth, prefix = node
         bv, z = self.levels[depth], self.zeros[depth]
-        ones_lo, ones_hi = bv.rank(qlo), bv.rank(qhi)
+        ones_lo, ones_hi = bv.rank_pair(qlo, qhi)
         return (
             ((depth + 1, prefix << 1), qlo - ones_lo, qhi - ones_hi),
             ((depth + 1, prefix << 1 | 1), z + ones_lo, z + ones_hi),
@@ -268,6 +276,7 @@ class WaveletTree(_WaveletMatrix):
         """Number of distinct symbols in positions [qlo, qhi): the leaves
         the interval reaches. A node whose interval holds one row holds one
         symbol, so it counts one and is not expanded."""
+        qlo, qhi = int(qlo), int(qhi)
         if qlo >= qhi:
             return 0
         total = 0

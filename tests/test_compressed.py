@@ -100,6 +100,29 @@ class TestRRRVector:
         with pytest.raises(ValueError):
             rv.select(len(ones) + 1)
 
+    @pytest.mark.parametrize("density", [0, 0.05, 0.5, 1])
+    def test_rank_pair_and_access_rank_match_prefix_sums(self, density):
+        """rank_pair(i, j) with i = j, i and j in one block, in one
+        superblock (480 bits) and in different superblocks, and at the
+        ends 0 and n; access_rank(i) at every bit."""
+        n = 5000
+        rng = np.random.default_rng(int(density * 100) + 7)
+        bits = rng.random(n) < density
+        rv = RRRVector(bits)
+        cum = np.concatenate([[0], np.cumsum(bits)]).tolist()
+        assert [rv.access_rank(i) for i in range(n)] == [
+            (int(b), r) for b, r in zip(bits, cum)
+        ]
+        with pytest.raises(IndexError):
+            rv.access_rank(n)
+        starts = [0, 1, 14, 15, 16, 470, 479, 480, 481, 2399, n - 16, n - 1, n]
+        pairs = [(i, i + d) for i in starts for d in (0, 1, 5, 14, 15, 300, 480, 1000)]
+        pairs += [(-4, 0), (-1, 7), (0, n + 9), (n, n + 1)]
+        pairs += [sorted(rng.integers(0, n + 1, size=2).tolist()) for _ in range(300)]
+        for i, j in pairs:
+            expect = (cum[min(max(i, 0), n)], cum[min(max(j, 0), n)])
+            assert rv.rank_pair(i, j) == expect, (i, j)
+
     def test_superblock_edges(self):
         """rank/access/rank_if_set within 2 of every block (and so
         superblock) edge, and select/select0 around every class change,
@@ -284,6 +307,8 @@ class TestRRRVector:
             back.to_bool, lambda: back.rank(20), lambda: back.access(16),
             lambda: back.select(2), lambda: back.select0(20),
             lambda: back.rank_if_set(15), lambda: back.rank_if_set(16),
+            lambda: back.access_rank(16), lambda: back.rank_pair(16, 17),
+            lambda: back.rank_pair(2, 20), lambda: back.rank_pair(20, 40),
         ):
             with pytest.raises(serialize.FormatError, match="offset past class 1"):
                 query()
@@ -407,6 +432,29 @@ class TestSDVector:
             assert np.array_equal(got[:, 0], ranks)
             assert np.array_equal(got[:, 1], held)
             assert [sd.access(int(i), l) for i in probes] == held.tolist()
+
+    def test_rank_pair_is_two_ranks(self):
+        """rank_pair(i, j, l) against two ranks, with both ends inside one
+        bucket, across buckets, outside the universe and over empty
+        lists."""
+        rng = np.random.default_rng(46)
+        n = 3000
+        lists = [
+            [], np.sort(rng.integers(0, n, size=400)), [7, 7, 7],
+            np.sort(rng.choice(n, size=25, replace=False)), [], np.arange(n),
+        ]
+        lists = [np.asarray(v, dtype=np.int64) for v in lists]
+        bounds = np.cumsum([0] + [len(v) for v in lists])
+        sd = SDVector(np.concatenate(lists), n, bounds)
+        for l, values in enumerate(lists):
+            w = sd.low_widths[l]
+            pairs = [(i, i + d) for i in range(-2, n + 2, 37) for d in (0, 1, 2, 5)]
+            pairs += [(b << w, (b << w) + (1 << w) - 1) for b in range(0, n >> w, 7)]
+            pairs += [sorted(rng.integers(-5, n + 5, size=2).tolist()) for _ in range(200)]
+            for i, j in pairs:
+                expect = tuple(int(np.searchsorted(values, x, "left")) for x in (i, j))
+                assert sd.rank_pair(i, j, l) == expect, (l, i, j)
+                assert expect == (sd.rank(i, l), sd.rank(j, l))
 
     def test_space_beats_plain_for_sparse(self):
         n = 1_000_000

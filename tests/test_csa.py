@@ -234,3 +234,42 @@ def test_lf_is_one_access_rank_walk(shape):
 def _skewed(k):
     p = 1.0 / np.arange(1, k + 1) ** 1.5
     return p / p.sum()
+
+
+def _naive_interval(text, sa, pattern):
+    m = len(pattern)
+    rows = [r for r, p in enumerate(sa) if text[p : p + m] == pattern]
+    return (rows[0], rows[-1]) if rows else None
+
+
+@pytest.mark.parametrize("sigma", [2, 5, 40])
+def test_backward_search_matches_naive_interval(sigma):
+    """Both CSAs' paired steps give the suffix array interval of every
+    pattern read off the text and of random, mostly absent, ones; numpy
+    integer patterns give the same answers as Python ints."""
+    rng = np.random.default_rng(950 + sigma)
+    n = 600
+    text = rng.choice(np.arange(2, sigma + 2), size=n - 1, p=_skewed(sigma)).tolist()
+    text.append(0)
+    sa = oracles.suffix_array(text)
+    text_iv = IntVector(text, width_for(sigma + 1))
+    sa_iv = IntVector(sa, width_for(n - 1))
+    patterns = []
+    for m in (1, 2, 3, 6, 12):
+        for start in rng.integers(0, n - m, size=8).tolist():
+            patterns.append(text[start : start + m])
+        patterns += rng.integers(2, sigma + 2, size=(4, m)).tolist()
+    patterns += [[0], [1], [sigma + 1] * 3, [2, 0]]
+    present = 0
+    for csa in (
+        CsaPsi.build(text_iv, sa_iv, sigma + 2, 8),
+        CsaWt.build(text_iv, sa_iv, sigma + 2, 8),
+    ):
+        for pattern in patterns:
+            expect = _naive_interval(text, sa, pattern)
+            present += expect is not None
+            assert csa.backward_search(pattern) == expect, pattern
+            for t in (np.int64, np.uint8):
+                assert csa.backward_search(np.asarray(pattern, dtype=t)) == expect
+                assert csa.backward_search([t(c) for c in pattern]) == expect
+    assert len(patterns) * 2 > present > len(patterns)

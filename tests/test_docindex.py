@@ -18,6 +18,8 @@ from succix.docindex import (
     read_index,
 )
 from succix.monitor import memory_monitor
+from succix.serialize import FormatError
+from succix.wavelet import WaveletTree
 
 import oracles
 from example_data import DOCS, N_DOCS, TOP_HITS
@@ -460,3 +462,40 @@ def test_greedy_df_matches_sort_at_every_interval_width():
         assert greedy.df(pattern) == sort.df(pattern) == len(
             naive_pairs(docs, pattern)
         )
+
+
+def test_greedy_load_rejects_terminator_document_in_two_rows():
+    """Greedy takes row 0 as the only row holding n_docs, so a file whose
+    document wavelet tree holds n_docs in a second row fails to load."""
+    coll = example_collection()
+    greedy = build_greedy(coll)
+    d = np.array([greedy.doc_wt.access(i) for i in range(greedy.n)])
+    d[greedy.n // 2] = coll.n_docs
+    bad = GreedyIndex(
+        greedy.csa, coll.alphabet, coll.n_docs,
+        WaveletTree(d, sigma=coll.n_docs + 1),
+    )
+    buf = io.BytesIO()
+    bad.serialize(buf)
+    with pytest.raises(FormatError, match="document wavelet tree"):
+        read_index(io.BytesIO(buf.getvalue()))
+    buf = io.BytesIO()
+    greedy.serialize(buf)
+    assert read_index(io.BytesIO(buf.getvalue())).df(b"a") == greedy.df(b"a")
+
+
+def test_numpy_integer_k_and_patterns_answer_as_python_ints():
+    rng = np.random.default_rng(2124)
+    docs = random_docs(rng, 12, 40)
+    coll = Collection(docs, ByteAlphabet.from_docs(docs))
+    for index in (build_sada(coll), build_greedy(coll), build_sort(coll)):
+        for pattern in (b"a", b"ab", b"cab", b"zz"):
+            symbols = index.encode(pattern)
+            if symbols is not None:
+                hit = index.csa.backward_search(np.asarray(symbols).tolist())
+                assert index.csa.backward_search(np.asarray(symbols)) == hit
+            for k in (1, 3, 20):
+                for ranking in ("freq", "tfidf"):
+                    expect = index.query(pattern, k, ranking)
+                    for t in (np.int64, np.int32, np.uint8):
+                        assert index.query(pattern, t(k), ranking) == expect

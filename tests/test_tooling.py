@@ -149,21 +149,46 @@ def test_bench_rows_and_cutoff():
     assert lines[1].split("\t")[0] == "1"
 
 
+RRR_PRIVATE_ATTRIBUTES = {
+    "_block_value", "_ranks", "_ptrs", "_zeros", "sb_ranks", "sb_ptrs",
+}
+
+
+def _compressed_private_uses(source):
+    """Names starting with an underscore that the source imports from
+    compressed.py, and RRRVector layout attributes that it reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rpartition(".")[2] == "compressed":
+                found += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr in RRR_PRIVATE_ATTRIBUTES:
+            found.append(node.attr)
+    return found
+
+
 def test_only_compressed_imports_its_private_names():
     """The RRR block tables and layout stay inside compressed.py: no other
     module of the package imports a name of it that starts with an
-    underscore."""
+    underscore, or reads an attribute of RRRVector's block layout."""
     found = [
-        (path.name, alias.name)
+        (path.name, name)
         for path in sorted((ROOT / "src" / "succix").glob("*.py"))
         if path.name != "compressed.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ImportFrom)
-        and (node.module or "").rpartition(".")[2] == "compressed"
-        for alias in node.names
-        if alias.name.startswith("_")
+        for name in _compressed_private_uses(path.read_text())
     ]
     assert found == []
+
+
+def test_private_use_guard_sees_imports_and_reads():
+    source = (
+        "from .compressed import BLOCK, _DEC15\n"
+        "def f(bv):\n"
+        "    return bv._ranks[0] + bv.sb_ptrs[1] + bv._block_value(2) + bv.rank(3)\n"
+    )
+    assert sorted(_compressed_private_uses(source)) == [
+        "_DEC15", "_block_value", "_ranks", "sb_ptrs",
+    ]
 
 
 def _load_spans():

@@ -165,32 +165,42 @@ class TestBalanced:
         }
 
     def test_bit_calls_per_level(self, monkeypatch):
-        """expand takes two bit ranks, rank at most two per level, and
-        access one bit rank and one bit access per level."""
+        """The bit calls the wavelet makes itself: expand one paired rank,
+        access one access_rank per level, and rank and rank_pair one
+        paired rank per level; calls made inside a bit call don't count."""
         rng = np.random.default_rng(39)
         seq = rng.integers(0, 50, size=3000)
         wt = WaveletTree(seq)
-        calls = {"rank": 0, "access": 0}
-        for name in calls:
-            def counted(self, i, _method=getattr(RRRVector, name), _name=name):
-                calls[_name] += 1
-                return _method(self, i)
+        names = ("rank", "access", "rank_pair", "access_rank")
+        calls = dict.fromkeys(names, 0)
+        inside = [0]
+        for name in names:
+            def counted(self, *args, _method=getattr(RRRVector, name), _name=name):
+                calls[_name] += not inside[0]
+                inside[0] += 1
+                try:
+                    return _method(self, *args)
+                finally:
+                    inside[0] -= 1
             monkeypatch.setattr(RRRVector, name, counted)
 
         def count(method, *args):
-            calls.update(rank=0, access=0)
+            calls.update(dict.fromkeys(names, 0))
             method(*args)
-            return calls["rank"], calls["access"]
+            return {name: n for name, n in calls.items() if n}
 
         h = wt.height
         left, right = wt.expand(wt.root(), 700, 2100)
-        assert count(wt.expand, wt.root(), 700, 2100) == (2, 0)
-        assert count(wt.expand, *right) == (2, 0)
+        assert count(wt.expand, wt.root(), 700, 2100) == {"rank_pair": 1}
+        assert count(wt.expand, *right) == {"rank_pair": 1}
+        assert count(wt.expand, *left) == {"rank_pair": 1}
         for i in (1, 1500, 3000):
-            assert count(wt.access, i - 1) == (h, h)
+            assert count(wt.access, i - 1) == {"access_rank": h}
             for c in (int(seq[i - 1]), 49):
-                ranks, accesses = count(wt.rank, i, c)
-                assert ranks <= 2 * h and accesses == 0
+                assert count(wt.rank, i, c) == {"rank_pair": h}
+                for j in (i, i + 1, 3000):
+                    assert count(wt.rank_pair, i - 1, j, c) == {"rank_pair": h}
+        assert count(wt.rank_pair, 0, 10, 50) == {}
 
     def test_select_out_of_range(self):
         wt = WaveletTree([0, 1, 0])
@@ -487,14 +497,66 @@ class TestSharedCore:
         seq = rng.choice(300, size=3000, p=_zipf_probs(300))
         wt = shape(seq, sigma=300)
         calls = []
-        rank = RRRVector.rank
+        rank_pair = RRRVector.rank_pair
         monkeypatch.setattr(
-            RRRVector, "rank", lambda self, i: calls.append(i) or rank(self, i)
+            RRRVector, "rank_pair",
+            lambda self, i, j: calls.append(i) or rank_pair(self, i, j),
         )
         for c in (0, 1, 17, 299):
             calls.clear()
             assert wt.rank(2000, c) == int(np.count_nonzero(seq[:2000] == c))
             assert len(calls) == wt.lengths[c]
+            calls.clear()
+            assert wt.count(700, 2000, c) == int(np.count_nonzero(seq[700:2000] == c))
+            assert len(calls) == wt.lengths[c]
+
+    @pytest.mark.parametrize("shape", [WaveletTree, WaveletTreeHuff])
+    def test_rank_pair_is_two_ranks(self, shape):
+        """rank_pair(i, j, c) over every present symbol, an absent one (it
+        has a code in the balanced shape only) and c out of range, with
+        i = j, i and j in one block and far apart, and ends clamped."""
+        rng = np.random.default_rng(44)
+        seq = rng.choice(40, size=2500, p=_zipf_probs(40))
+        seq[seq == 5] = 6
+        wt = shape(seq, sigma=41)
+        n = len(seq)
+        ends = [(0, 0), (0, n), (n, n), (-3, 4), (n - 2, n + 5), (-2, -1)]
+        ends += [(i, i + w) for i in (1, 14, 480, 1999) for w in (0, 1, 7, 500)]
+        ends += [sorted(rng.integers(0, n + 1, size=2).tolist()) for _ in range(30)]
+        for c in list(range(41)) + [-1, 41, 1000]:
+            prefix = np.concatenate(([0], np.cumsum(seq == c))).tolist()
+            for i, j in ends:
+                expect = prefix[min(max(i, 0), n)], prefix[min(max(j, 0), n)]
+                assert wt.rank_pair(i, j, c) == expect, (c, i, j)
+                assert (wt.rank(i, c), wt.rank(j, c)) == expect
+
+    @pytest.mark.parametrize("shape", [WaveletTree, WaveletTreeHuff])
+    def test_numpy_integer_arguments(self, shape, monkeypatch):
+        """numpy integers answer as Python ints do, and are converted once
+        at the wavelet: the bit calls below see Python ints only."""
+        rng = np.random.default_rng(45)
+        seq = rng.integers(0, 30, size=1200)
+        wt = shape(seq, sigma=30)
+        seen = set()
+        for name in ("rank", "rank_pair"):
+            def typed(self, *args, _method=getattr(RRRVector, name)):
+                seen.update(type(a) for a in args)
+                return _method(self, *args)
+            monkeypatch.setattr(RRRVector, name, typed)
+        for i, c in ((0, 3), (17, 29), (600, 0), (1200, 11)):
+            expected = wt.rank(i, c)
+            for t in (np.int64, np.int32, np.uint16):
+                assert wt.rank(t(i), t(c)) == expected
+                assert type(wt.rank(t(i), t(c))) is int
+            assert wt.count(np.int64(i // 2), np.int64(i), np.int64(c)) == (
+                expected - wt.rank(i // 2, c)
+            )
+        if shape is WaveletTree:
+            for lo, hi in ((0, 1200), (5, 6), (100, 900)):
+                distinct = len(set(seq[lo:hi].tolist()))
+                assert wt.count_distinct(lo, hi) == distinct
+                assert wt.count_distinct(np.int64(lo), np.int64(hi)) == distinct
+        assert seen == {int}
 
 
 def _zipf_probs(k, s=1.3):
